@@ -63,7 +63,10 @@ void ReplicaSession::ShipLoop() {
     if (batch.empty()) continue;
     const size_t delivered =
         transport_.Ship({batch.data(), batch.size()});
-    bool died = delivered < batch.size();
+    const bool died = delivered < batch.size();
+    // Nothing ships on a dead link again: keep the log from growing with
+    // the write history, before anyone can observe the link as dead.
+    if (died) log_->Abandon();
     {
       std::lock_guard<std::mutex> lock(mu_);
       acked_ += delivered;

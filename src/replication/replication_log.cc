@@ -26,7 +26,11 @@ void ReplicationLog::OnCommit(const CommitRecord& record) {
   uint64_t next;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    records_.push_back(std::move(rec));
+    if (abandoned_) {
+      ++base_;  // counted, never kept
+    } else {
+      records_.push_back(std::move(rec));
+    }
     next = base_ + records_.size();
     tail_.store(next, std::memory_order_release);
   }
@@ -53,6 +57,18 @@ void ReplicationLog::TruncateTo(uint64_t upto) {
     records_.pop_front();
     ++base_;
   }
+}
+
+void ReplicationLog::Abandon() {
+  std::lock_guard<std::mutex> lock(mu_);
+  abandoned_ = true;
+  base_ += records_.size();
+  std::deque<LogRecord>().swap(records_);  // release the blocks too
+}
+
+size_t ReplicationLog::retained() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return records_.size();
 }
 
 bool ReplicationLog::WaitTail(uint64_t beyond, uint64_t timeout_us) const {

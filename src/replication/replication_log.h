@@ -11,7 +11,9 @@
 // primary seqno for transports that want to dedup or resume.
 //
 // Shipped-and-applied prefixes are truncated (TruncateTo) so the in-DRAM
-// log stays bounded by the replication lag, not the write history.
+// log stays bounded by the replication lag, not the write history; once
+// the link dies nothing will ship again, so Abandon() drops every record
+// and later appends are counted but not kept.
 #ifndef PIECES_REPLICATION_REPLICATION_LOG_H_
 #define PIECES_REPLICATION_REPLICATION_LOG_H_
 
@@ -66,6 +68,13 @@ class ReplicationLog : public CommitTap {
   void Close();
   bool closed() const;
 
+  // Dead link: drops every retained record and stops copying new ones.
+  // tail() and the per-thread watermarks keep advancing, so the lost tail
+  // (tail - applied) still counts every write the replica never got.
+  void Abandon();
+  // Records currently held in DRAM.
+  size_t retained() const;
+
   // The log index one past the record this thread most recently appended
   // to *this* log, i.e. the watermark that covers exactly that write.
   // Falls back to tail() (a conservative, larger watermark) when the
@@ -80,6 +89,7 @@ class ReplicationLog : public CommitTap {
   std::deque<LogRecord> records_;  // records_[i] has log index base_ + i
   uint64_t base_ = 0;
   bool closed_ = false;
+  bool abandoned_ = false;
   std::atomic<uint64_t> tail_{0};
 };
 

@@ -99,11 +99,10 @@ KvService::KvService(const std::string& index_name,
   snap->partition = RangePartition(config.num_shards, bootstrap_sample);
   const size_t n = snap->partition.num_shards();
   snap->shards.reserve(n);
-  snap->replicas.reserve(n);
   for (size_t s = 0; s < n; ++s) {
-    ShardParts parts = MakeShard(s);
-    snap->shards.push_back(std::move(parts.shard));
-    snap->replicas.push_back(std::move(parts.replica));
+    // Empty stores: BulkLoad seeds the replicas once they hold data.
+    snap->shards.push_back(
+        WrapStore(s, MakeStore(s, /*replica=*/false), /*seed=*/false));
   }
   next_shard_id_ = n;
   snapshot_.store(snap, std::memory_order_release);
@@ -145,53 +144,31 @@ std::unique_ptr<StoreBackend> KvService::MakeStore(size_t id, bool replica) {
   return std::make_unique<ViperStore>(std::move(index), config_.store);
 }
 
-KvService::ShardParts KvService::MakeShard(size_t id) {
-  std::unique_ptr<StoreBackend> store = MakeStore(id, /*replica=*/false);
-  ShardParts parts;
+std::shared_ptr<Shard> KvService::WrapStore(
+    size_t id, std::unique_ptr<StoreBackend> store, bool seed) {
+  std::shared_ptr<replication::ReplicaSession> session;
+  store->SetCommitTap(nullptr);  // a promoted store keeps its old tap
   if (config_.replication.enabled) {
-    parts.replica = std::make_shared<replication::ReplicaSession>(
+    session = std::make_shared<replication::ReplicaSession>(
         MakeStore(id, /*replica=*/true), config_.replication);
     // The log (a shared_ptr) taps the primary's commit path; it outlives
     // the store no matter which side is torn down first.
-    store->SetCommitTap(parts.replica->log());
+    store->SetCommitTap(session->log());
   }
-  parts.shard = std::make_shared<Shard>(id, std::move(store),
-                                        config_.queue_capacity,
-                                        config_.maintenance,
-                                        config_.writers_per_shard);
-  if (parts.replica != nullptr) {
-    parts.shard->AttachReplication(
-        parts.replica, config_.replication.ack ==
-                           replication::ReplicationConfig::AckMode::kReplicated);
+  auto shard = std::make_shared<Shard>(id, std::move(store),
+                                       config_.queue_capacity,
+                                       config_.maintenance,
+                                       config_.writers_per_shard);
+  if (session != nullptr) {
+    shard->AttachReplication(
+        session, config_.replication.ack ==
+                     replication::ReplicationConfig::AckMode::kReplicated);
+    // The store's image bypassed the log; seed before any write commits.
+    if (seed) session->SeedFromPrimary(*shard->store());
+    if (started_) session->Start();
   }
-  return parts;
-}
-
-KvService::ShardParts KvService::AdoptStore(
-    std::unique_ptr<StoreBackend> store) {
-  const size_t id = next_shard_id_++;
-  ShardParts parts;
-  // The promoted store still carries the old session's log tap; replace
-  // it with the new shadow replica's (or clear it).
-  store->SetCommitTap(nullptr);
-  if (config_.replication.enabled) {
-    parts.replica = std::make_shared<replication::ReplicaSession>(
-        MakeStore(id, /*replica=*/true), config_.replication);
-    store->SetCommitTap(parts.replica->log());
-  }
-  parts.shard = std::make_shared<Shard>(id, std::move(store),
-                                        config_.queue_capacity,
-                                        config_.maintenance,
-                                        config_.writers_per_shard);
-  if (parts.replica != nullptr) {
-    parts.shard->AttachReplication(
-        parts.replica, config_.replication.ack ==
-                           replication::ReplicationConfig::AckMode::kReplicated);
-    parts.replica->SeedFromPrimary(*parts.shard->store());
-    if (started_) parts.replica->Start();
-  }
-  if (started_) parts.shard->Start();
-  return parts;
+  if (started_) shard->Start();
+  return shard;
 }
 
 bool KvService::BulkLoad(const std::vector<Key>& sorted_keys) {
@@ -204,11 +181,12 @@ bool KvService::BulkLoad(const std::vector<Key>& sorted_keys) {
                                       snap->partition.LowerBound(s + 1))
                    : sorted_keys.end();
     std::vector<Key> part(begin, end);
-    if (!snap->shards[s]->store()->BulkLoad(part)) return false;
+    Shard& shard = *snap->shards[s];
+    if (!shard.store()->BulkLoad(part)) return false;
     // Bulk loads bypass the commit log (see CommitTap); replicas seed
     // directly from the quiesced primary image instead.
-    if (snap->replicas[s] != nullptr &&
-        !snap->replicas[s]->SeedFromPrimary(*snap->shards[s]->store())) {
+    if (shard.replication() != nullptr &&
+        !shard.replication()->SeedFromPrimary(*shard.store())) {
       return false;
     }
   }
@@ -218,12 +196,12 @@ bool KvService::BulkLoad(const std::vector<Key>& sorted_keys) {
 void KvService::Start() {
   std::lock_guard<std::mutex> admin(admin_mu_);
   Snapshot* snap = snapshot_.load(std::memory_order_acquire);
-  // Shippers first: a semi-sync write acked by a worker needs a live
-  // session from the very first request.
-  for (auto& session : snap->replicas) {
-    if (session != nullptr) session->Start();
+  // Each shipper before its shard's workers: a semi-sync write acked by a
+  // worker needs a live session from the very first request.
+  for (auto& shard : snap->shards) {
+    if (shard->replication() != nullptr) shard->replication()->Start();
+    shard->Start();
   }
-  for (auto& shard : snap->shards) shard->Start();
   started_ = true;
   if (config_.rebalance.enabled && !rebalancer_.joinable()) {
     stop_rebalancer_.store(false, std::memory_order_relaxed);
@@ -235,6 +213,15 @@ void KvService::CompleteInline(Request& req, RequestStatus status) {
   // Rejected/shutdown/retried requests never record latency — only
   // executed requests may touch the single-writer recorder.
   if (req.done) req.done(status);
+}
+
+void KvService::Bounce(std::vector<Request>& batch,
+                       Shard::EnqueueResult result) {
+  const RequestStatus status =
+      result == Shard::EnqueueResult::kRejected   ? RequestStatus::kRejected
+      : result == Shard::EnqueueResult::kShutdown ? RequestStatus::kShutdown
+                                                  : RequestStatus::kRetry;
+  for (Request& req : batch) CompleteInline(req, status);
 }
 
 bool KvService::WaitForNewerSnapshot(uint64_t version) {
@@ -251,32 +238,19 @@ void KvService::DispatchToShard(const std::shared_ptr<Shard>& shard,
                                 int budget) {
   Shard::EnqueueResult result =
       shard->Enqueue(std::move(batch), config_.admission);
-  // Enqueue left the batch in place on any failure.
-  switch (result) {
-    case Shard::EnqueueResult::kAccepted:
+  if (result == Shard::EnqueueResult::kAccepted) return;
+  // Enqueue left the batch in place. A retired shard (live split, merge
+  // or failover) means: wait for the successor snapshot — the structural
+  // op publishes it right after the migration — and re-route. The budget
+  // bounds the chase across back-to-back structural ops.
+  if (result == Shard::EnqueueResult::kRetired && budget > 0) {
+    if (WaitForNewerSnapshot(version)) {
+      Route(std::move(batch), budget - 1);
       return;
-    case Shard::EnqueueResult::kRejected:
-      for (Request& req : batch) CompleteInline(req, RequestStatus::kRejected);
-      return;
-    case Shard::EnqueueResult::kShutdown:
-      for (Request& req : batch) CompleteInline(req, RequestStatus::kShutdown);
-      return;
-    case Shard::EnqueueResult::kRetired:
-      break;
+    }
+    result = Shard::EnqueueResult::kShutdown;
   }
-  // The shard retired under us (live split/merge). Wait for the
-  // successor snapshot — the structural op publishes it right after the
-  // migration — and re-route. The budget bounds the chase across
-  // back-to-back structural ops.
-  if (budget <= 0) {
-    for (Request& req : batch) CompleteInline(req, RequestStatus::kRetry);
-    return;
-  }
-  if (!WaitForNewerSnapshot(version)) {
-    for (Request& req : batch) CompleteInline(req, RequestStatus::kShutdown);
-    return;
-  }
-  RouteBatch(std::move(batch), budget - 1);
+  Bounce(batch, result);
 }
 
 bool KvService::TryReplicaRead(replication::ReplicaSession& session,
@@ -305,7 +279,6 @@ void KvService::RouteBatch(std::vector<Request>&& batch, int budget) {
   if (batch.empty()) return;
   uint64_t version;
   std::vector<std::shared_ptr<Shard>> shards;
-  std::vector<std::shared_ptr<replication::ReplicaSession>> replicas;
   std::vector<std::vector<Request>> buckets;
   const bool replica_reads =
       config_.replication.enabled &&
@@ -318,7 +291,6 @@ void KvService::RouteBatch(std::vector<Request>&& batch, int budget) {
     Snapshot* snap = snapshot_.load(std::memory_order_acquire);
     version = snap->version;
     shards = snap->shards;
-    if (replica_reads) replicas = snap->replicas;
     buckets.resize(shards.size());
     for (Request& req : batch) {
       buckets[snap->partition.ShardOf(req.key)].push_back(std::move(req));
@@ -328,14 +300,15 @@ void KvService::RouteBatch(std::vector<Request>&& batch, int budget) {
   for (size_t s = 0; s < buckets.size(); ++s) {
     std::vector<Request>& bucket = buckets[s];
     if (bucket.empty()) continue;
-    if (replica_reads && replicas[s] != nullptr) {
+    replication::ReplicaSession* replica = shards[s]->replication().get();
+    if (replica_reads && replica != nullptr) {
       // Offload reads the replica can serve within its watermark; the
       // rest (all writes, and reads the replica bounced) fall through to
       // the primary's queue in their original order.
       size_t kept = 0;
       for (size_t i = 0; i < bucket.size(); ++i) {
         if (bucket[i].type == OpType::kRead &&
-            TryReplicaRead(*replicas[s], bucket[i])) {
+            TryReplicaRead(*replica, bucket[i])) {
           continue;
         }
         if (kept != i) bucket[kept] = std::move(bucket[i]);
@@ -368,16 +341,20 @@ void KvService::Submit(Request req) {
 }
 
 void KvService::SubmitBatch(std::vector<Request> batch) {
+  Route(std::move(batch), kRerouteBudget);
+}
+
+void KvService::Route(std::vector<Request>&& batch, int budget) {
   std::vector<Request> points;
   points.reserve(batch.size());
   for (Request& req : batch) {
     if (req.type == OpType::kScan) {
-      FanOutScan(std::move(req), kRerouteBudget);
+      FanOutScan(std::move(req), budget);
     } else {
       points.push_back(std::move(req));
     }
   }
-  RouteBatch(std::move(points), kRerouteBudget);
+  RouteBatch(std::move(points), budget);
 }
 
 // Shared join state for a scan fanned out across shards [first, last].
@@ -434,33 +411,11 @@ void KvService::FanOutScan(Request req, int budget) {
   }
   const size_t n = shards.size();
   if (n == 1) {
+    // Single-shard scan: a plain dispatch, re-routed (as a scan) if the
+    // shard retires under it — still on the submitting thread.
     std::vector<Request> batch;
     batch.push_back(std::move(req));
-    Shard::EnqueueResult result =
-        shards[0]->Enqueue(std::move(batch), config_.admission);
-    switch (result) {
-      case Shard::EnqueueResult::kAccepted:
-        return;
-      case Shard::EnqueueResult::kRejected:
-        CompleteInline(batch[0], RequestStatus::kRejected);
-        return;
-      case Shard::EnqueueResult::kShutdown:
-        CompleteInline(batch[0], RequestStatus::kShutdown);
-        return;
-      case Shard::EnqueueResult::kRetired:
-        break;
-    }
-    // Still on the submitting thread: safe to wait out the split and
-    // retry the whole scan against the successor snapshot.
-    if (budget <= 0) {
-      CompleteInline(batch[0], RequestStatus::kRetry);
-      return;
-    }
-    if (!WaitForNewerSnapshot(version)) {
-      CompleteInline(batch[0], RequestStatus::kShutdown);
-      return;
-    }
-    FanOutScan(std::move(batch[0]), budget - 1);
+    DispatchToShard(shards[0], version, std::move(batch), budget);
     return;
   }
   auto join = std::make_shared<ScanJoin>();
@@ -496,12 +451,7 @@ void KvService::FanOutScan(Request req, int budget) {
     // over per-shard errors): the partition moved mid-fan-out, so the
     // merged result could miss a key range. The caller re-submits — the
     // synchronous Scan() wrapper does so automatically.
-    RequestStatus st = result == Shard::EnqueueResult::kRejected
-                           ? RequestStatus::kRejected
-                       : result == Shard::EnqueueResult::kShutdown
-                           ? RequestStatus::kShutdown
-                           : RequestStatus::kRetry;
-    CompleteInline(batch[0], st);
+    Bounce(batch, result);
   }
 }
 
@@ -584,16 +534,9 @@ void KvService::Drain() {
   // A split may swap the shard set mid-drain; done when one full pass
   // completes with the snapshot unchanged.
   for (;;) {
-    uint64_t version;
-    std::vector<std::shared_ptr<Shard>> shards;
-    {
-      EpochGuard guard;
-      Snapshot* snap = snapshot_.load(std::memory_order_acquire);
-      version = snap->version;
-      shards = snap->shards;
-    }
-    for (auto& shard : shards) shard->Drain();
-    if (partition_version() == version) return;
+    const Snapshot snap = Current();
+    for (auto& shard : snap.shards) shard->Drain();
+    if (partition_version() == snap.version) return;
   }
 }
 
@@ -609,12 +552,17 @@ void KvService::Shutdown() {
   // (structural ops check shutdown_ under admin_mu_).
   std::lock_guard<std::mutex> admin(admin_mu_);
   Snapshot* snap = snapshot_.load(std::memory_order_acquire);
-  // Workers first (they may be awaiting replication acks, which the live
-  // shippers keep draining), then the sessions.
-  for (auto& shard : snap->shards) shard->Stop();
-  for (auto& session : snap->replicas) {
-    if (session != nullptr) session->Stop();
+  // Each shard's workers before its session (they may be awaiting
+  // replication acks, which the live shipper keeps draining).
+  for (auto& shard : snap->shards) {
+    shard->Stop();
+    if (shard->replication() != nullptr) shard->replication()->Stop();
   }
+}
+
+KvService::Snapshot KvService::Current() const {
+  EpochGuard guard;
+  return *snapshot_.load(std::memory_order_acquire);
 }
 
 void KvService::PublishSnapshot(Snapshot* next) {
@@ -630,206 +578,173 @@ void KvService::PublishSnapshot(Snapshot* next) {
   EpochManager::Global().Retire<Snapshot>(old);
 }
 
-KvService::ShardParts KvService::BuildShard(const std::vector<Key>& keys,
-                                            const std::vector<Shard*>& sources,
-                                            bool start) {
-  ShardParts parts = MakeShard(next_shard_id_++);
+std::shared_ptr<Shard> KvService::BuildShard(
+    const std::vector<Key>& keys,
+    const std::vector<std::shared_ptr<Shard>>& sources) {
+  const size_t id = next_shard_id_++;
+  std::unique_ptr<StoreBackend> store = MakeStore(id, /*replica=*/false);
   auto fill = [&](Key key, uint8_t* buf) {
     // Sources are quiesced (stopped) and own disjoint ranges; preserve
     // the stored value rather than re-synthesizing it.
-    for (Shard* src : sources) {
+    for (const auto& src : sources) {
       if (src->store()->Get(key, buf)) return;
     }
     FillSyntheticRecordValue(key, buf, config_.store.value_size);
   };
-  if (!parts.shard->store()->BulkLoad(keys, fill)) return {};
-  if (parts.replica != nullptr) {
-    // The bulk image bypassed the log; seed before any write commits.
-    parts.replica->SeedFromPrimary(*parts.shard->store());
-    if (start) parts.replica->Start();
+  if (!store->BulkLoad(keys, fill)) return nullptr;
+  return WrapStore(id, std::move(store), /*seed=*/true);
+}
+
+std::optional<uint64_t> KvService::ReplaceShards(size_t first, size_t count,
+                                                 const BuildFn& build) {
+  std::lock_guard<std::mutex> admin(admin_mu_);
+  if (shutdown_.load(std::memory_order_relaxed)) return std::nullopt;
+  Snapshot* snap = snapshot_.load(std::memory_order_acquire);
+  if (count == 0 || first + count > snap->shards.size()) return std::nullopt;
+  const auto begin = static_cast<std::ptrdiff_t>(first);
+  const auto end = begin + static_cast<std::ptrdiff_t>(count);
+  const std::vector<Key>& bounds = snap->partition.boundaries();
+  ShardRange retired;
+  retired.shards.assign(snap->shards.begin() + begin,
+                        snap->shards.begin() + end);
+  retired.boundaries.assign(bounds.begin() + begin, bounds.begin() + end - 1);
+
+  // The outage window: from the first bounced request to the successor
+  // snapshot going live. Quiesce: bounce new work (kRetired), finish
+  // accepted work, join the workers. Retire is irreversible, so the range
+  // must be replaced from here on.
+  const uint64_t start = NowNanos();
+  for (auto& shard : retired.shards) shard->BeginRetire();
+  for (auto& shard : retired.shards) shard->Drain();
+  for (auto& shard : retired.shards) shard->Stop();
+  // The shippers still run while `build` reads the quiesced stores, so a
+  // failover can let its replica catch up.
+  ShardRange next = build(retired);
+  // No worker is left to await an ack; the retired sessions would
+  // otherwise idle in epoch limbo until reclamation. (A promoted session
+  // is already stopped; Stop is idempotent.)
+  for (auto& shard : retired.shards) {
+    if (shard->replication() != nullptr) shard->replication()->Stop();
   }
-  if (start) parts.shard->Start();
-  return parts;
+
+  // Splice: untouched prefix + successors + untouched suffix.
+  auto* successor = new Snapshot;
+  std::vector<std::shared_ptr<Shard>>& shards = successor->shards;
+  shards.assign(snap->shards.begin(), snap->shards.begin() + begin);
+  shards.insert(shards.end(), next.shards.begin(), next.shards.end());
+  shards.insert(shards.end(), snap->shards.begin() + end, snap->shards.end());
+  std::vector<Key> nb(bounds.begin(), bounds.begin() + begin);
+  nb.insert(nb.end(), next.boundaries.begin(), next.boundaries.end());
+  nb.insert(nb.end(), bounds.begin() + end - 1, bounds.end());
+  successor->partition = RangePartition::FromBoundaries(std::move(nb));
+  PublishSnapshot(successor);
+  return NowNanos() - start;
 }
 
 bool KvService::SplitShard(size_t shard_idx) {
-  std::lock_guard<std::mutex> admin(admin_mu_);
-  if (shutdown_.load(std::memory_order_relaxed)) return false;
-  Snapshot* snap = snapshot_.load(std::memory_order_acquire);
-  if (shard_idx >= snap->shards.size()) return false;
-  std::shared_ptr<Shard> old = snap->shards[shard_idx];
-  if (old->store()->size() < 2) return false;
-
-  // Quiesce: bounce new work (kRetired), finish accepted work, join the
-  // workers. From here the shard must be replaced — retire is
-  // irreversible — so every path below publishes a successor snapshot.
-  old->BeginRetire();
-  old->Drain();
-  old->Stop();
-  // Workers are gone (no more acks to await); the retired session would
-  // otherwise idle in epoch limbo until reclamation.
-  if (snap->replicas[shard_idx] != nullptr) snap->replicas[shard_idx]->Stop();
-
-  std::vector<Key> keys;
-  old->store()->Scan(0, old->store()->size(), &keys);
-
-  // Cut at the key median; an all-duplicates left half slides the cut
-  // right so both halves stay non-empty. `split` is an owned key, so
-  // LowerBound(shard_idx) <= keys.front() < split < LowerBound(idx + 1)
-  // and the new boundary list stays strictly increasing.
-  size_t cut = keys.size() / 2;
-  if (keys[cut] == keys.front()) {
-    cut = static_cast<size_t>(
-        std::upper_bound(keys.begin(), keys.end(), keys.front()) -
-        keys.begin());
-  }
-  auto* next = new Snapshot;
-  if (cut == 0 || cut >= keys.size()) {
-    // Every key equal: unsplittable. Rebuild as a single replacement
-    // shard so the retired one still leaves service.
-    ShardParts repl = BuildShard(keys, {old.get()}, started_);
-    next->partition = snap->partition;
-    next->shards = snap->shards;
-    next->replicas = snap->replicas;
-    next->shards[shard_idx] = std::move(repl.shard);
-    next->replicas[shard_idx] = std::move(repl.replica);
-    PublishSnapshot(next);
+  const Snapshot snap = Current();
+  // Too few keys to cut: refuse before anything retires.
+  if (shard_idx < snap.shards.size() &&
+      snap.shards[shard_idx]->store()->size() < 2) {
     return false;
   }
-  const Key split = keys[cut];
-  std::vector<Key> left_keys(keys.begin(), keys.begin() + cut);
-  std::vector<Key> right_keys(keys.begin() + cut, keys.end());
-  ShardParts left = BuildShard(left_keys, {old.get()}, started_);
-  ShardParts right = BuildShard(right_keys, {old.get()}, started_);
-
-  std::vector<Key> nb = snap->partition.boundaries();
-  nb.insert(nb.begin() + static_cast<std::ptrdiff_t>(shard_idx), split);
-  next->partition = RangePartition::FromBoundaries(std::move(nb));
-  next->shards = snap->shards;
-  next->replicas = snap->replicas;
-  next->shards[shard_idx] = std::move(left.shard);
-  next->replicas[shard_idx] = std::move(left.replica);
-  next->shards.insert(
-      next->shards.begin() + static_cast<std::ptrdiff_t>(shard_idx) + 1,
-      std::move(right.shard));
-  next->replicas.insert(
-      next->replicas.begin() + static_cast<std::ptrdiff_t>(shard_idx) + 1,
-      std::move(right.replica));
-  PublishSnapshot(next);
-  splits_.fetch_add(1, std::memory_order_relaxed);
-  return true;
+  bool split = false;
+  ReplaceShards(shard_idx, 1, [&](const ShardRange& retired) -> ShardRange {
+    StoreBackend* store = retired.shards[0]->store();
+    std::vector<Key> keys;
+    store->Scan(0, store->size(), &keys);
+    // Cut at the key median; an all-duplicates left half slides the cut
+    // right so both halves stay non-empty. The split key is an owned key,
+    // so LowerBound(shard_idx) <= keys.front() < split <
+    // LowerBound(shard_idx + 1) and the boundary list stays strictly
+    // increasing.
+    size_t cut = keys.size() / 2;
+    if (cut > 0 && keys[cut] == keys.front()) {
+      cut = static_cast<size_t>(
+          std::upper_bound(keys.begin(), keys.end(), keys.front()) -
+          keys.begin());
+    }
+    if (cut == 0 || cut >= keys.size()) {
+      // Every key equal: unsplittable. Rebuild as a single replacement
+      // shard so the retired one still leaves service.
+      return {{BuildShard(keys, retired.shards)}, {}};
+    }
+    split = true;
+    const std::vector<Key> left(keys.begin(), keys.begin() + cut);
+    const std::vector<Key> right(keys.begin() + cut, keys.end());
+    return {{BuildShard(left, retired.shards),
+             BuildShard(right, retired.shards)},
+            {keys[cut]}};
+  });
+  if (split) splits_.fetch_add(1, std::memory_order_relaxed);
+  return split;
 }
 
 bool KvService::MergeShards(size_t left_idx) {
-  std::lock_guard<std::mutex> admin(admin_mu_);
-  if (shutdown_.load(std::memory_order_relaxed)) return false;
-  Snapshot* snap = snapshot_.load(std::memory_order_acquire);
-  if (left_idx + 1 >= snap->shards.size()) return false;
-  std::shared_ptr<Shard> a = snap->shards[left_idx];
-  std::shared_ptr<Shard> b = snap->shards[left_idx + 1];
-  a->BeginRetire();
-  b->BeginRetire();
-  a->Drain();
-  b->Drain();
-  a->Stop();
-  b->Stop();
-  if (snap->replicas[left_idx] != nullptr) snap->replicas[left_idx]->Stop();
-  if (snap->replicas[left_idx + 1] != nullptr) {
-    snap->replicas[left_idx + 1]->Stop();
-  }
-
-  // Adjacent ranges scanned in shard order: already globally sorted.
-  std::vector<Key> keys;
-  a->store()->Scan(0, a->store()->size(), &keys);
-  const size_t a_count = keys.size();
-  b->store()->Scan(0, b->store()->size(), &keys);
-
-  auto* next = new Snapshot;
-  next->shards = snap->shards;
-  next->replicas = snap->replicas;
-  ShardParts merged = BuildShard(keys, {a.get(), b.get()}, started_);
-  if (merged.shard == nullptr) {
+  bool merged = false;
+  ReplaceShards(left_idx, 2, [&](const ShardRange& retired) -> ShardRange {
+    // Adjacent ranges scanned in shard order: already globally sorted.
+    StoreBackend* a = retired.shards[0]->store();
+    StoreBackend* b = retired.shards[1]->store();
+    std::vector<Key> keys;
+    a->Scan(0, a->size(), &keys);
+    const size_t a_count = keys.size();
+    b->Scan(0, b->size(), &keys);
+    std::shared_ptr<Shard> shard = BuildShard(keys, retired.shards);
+    if (shard != nullptr) {
+      merged = true;
+      return {{std::move(shard)}, {}};
+    }
     // Combined records overflow one store: rebuild both halves in place
     // (compacting them) and keep the boundary.
-    std::vector<Key> ka(keys.begin(), keys.begin() + a_count);
-    std::vector<Key> kb(keys.begin() + a_count, keys.end());
-    next->partition = snap->partition;
-    ShardParts ra = BuildShard(ka, {a.get()}, started_);
-    ShardParts rb = BuildShard(kb, {b.get()}, started_);
-    next->shards[left_idx] = std::move(ra.shard);
-    next->replicas[left_idx] = std::move(ra.replica);
-    next->shards[left_idx + 1] = std::move(rb.shard);
-    next->replicas[left_idx + 1] = std::move(rb.replica);
-    PublishSnapshot(next);
-    return false;
-  }
-  std::vector<Key> nb = snap->partition.boundaries();
-  nb.erase(nb.begin() + static_cast<std::ptrdiff_t>(left_idx));
-  next->partition = RangePartition::FromBoundaries(std::move(nb));
-  next->shards[left_idx] = std::move(merged.shard);
-  next->replicas[left_idx] = std::move(merged.replica);
-  next->shards.erase(next->shards.begin() +
-                     static_cast<std::ptrdiff_t>(left_idx) + 1);
-  next->replicas.erase(next->replicas.begin() +
-                       static_cast<std::ptrdiff_t>(left_idx) + 1);
-  PublishSnapshot(next);
-  merges_.fetch_add(1, std::memory_order_relaxed);
-  return true;
+    const auto cut = keys.begin() + static_cast<std::ptrdiff_t>(a_count);
+    const std::vector<Key> ka(keys.begin(), cut);
+    const std::vector<Key> kb(cut, keys.end());
+    return {{BuildShard(ka, retired.shards), BuildShard(kb, retired.shards)},
+            retired.boundaries};
+  });
+  if (merged) merges_.fetch_add(1, std::memory_order_relaxed);
+  return merged;
 }
 
 FailoverReport KvService::FailOverShard(size_t shard_idx, bool graceful) {
   FailoverReport report;
-  std::lock_guard<std::mutex> admin(admin_mu_);
-  if (shutdown_.load(std::memory_order_relaxed)) return report;
-  Snapshot* snap = snapshot_.load(std::memory_order_acquire);
-  if (shard_idx >= snap->shards.size()) return report;
-  std::shared_ptr<replication::ReplicaSession> session =
-      snap->replicas[shard_idx];
-  if (session == nullptr) return report;  // replication off
-  std::shared_ptr<Shard> old = snap->shards[shard_idx];
-
-  // The outage window: from the first bounced request to the successor
-  // snapshot going live.
-  const uint64_t outage_start = NowNanos();
-  old->BeginRetire();
-  old->Drain();
-  if (graceful) session->WaitCaughtUp(0);
-  old->Stop();
-
-  // Promotion = crash recovery on the replica's store: Stop the session,
-  // validate the commit headers, rebuild the index. Everything the
-  // shipper never delivered is gone — count it. (Under kReplicated ack
-  // mode none of those writes were acked to any client.)
-  std::unique_ptr<StoreBackend> promoted = session->Promote(&report.rebuild_ns);
-  replication::ReplicaSessionStats st = session->Stats();
-  report.lost_records = st.log_tail > st.applied ? st.log_tail - st.applied : 0;
-  // The failed primary's medium dies with it.
-  old->store()->Crash();
-
-  ShardParts parts = AdoptStore(std::move(promoted));
-  auto* next = new Snapshot;
-  next->partition = snap->partition;
-  next->shards = snap->shards;
-  next->replicas = snap->replicas;
-  next->shards[shard_idx] = std::move(parts.shard);
-  next->replicas[shard_idx] = std::move(parts.replica);
-  PublishSnapshot(next);
-  report.outage_ns = NowNanos() - outage_start;
+  if (!config_.replication.enabled) return report;
+  std::optional<uint64_t> outage = ReplaceShards(
+      shard_idx, 1, [&](const ShardRange& retired) -> ShardRange {
+        Shard& old = *retired.shards[0];
+        replication::ReplicaSession& session = *old.replication();
+        // The workers are stopped, so every acked write is in the log and
+        // the shipper is still delivering it.
+        if (graceful) session.WaitCaughtUp(0);
+        // Promotion = crash recovery on the replica's store: stop the
+        // session, validate the commit headers, rebuild the index.
+        // Everything the shipper never delivered is gone — count it.
+        // (Under kReplicated ack mode none of those writes were acked to
+        // any client.)
+        std::unique_ptr<StoreBackend> promoted =
+            session.Promote(&report.rebuild_ns);
+        replication::ReplicaSessionStats st = session.Stats();
+        report.lost_records =
+            st.log_tail > st.applied ? st.log_tail - st.applied : 0;
+        // The failed primary's medium dies with it.
+        old.store()->Crash();
+        return {{WrapStore(next_shard_id_++, std::move(promoted),
+                           /*seed=*/true)},
+                {}};
+      });
+  if (!outage.has_value()) return report;
+  report.outage_ns = *outage;
   report.ok = true;
   failovers_.fetch_add(1, std::memory_order_relaxed);
   return report;
 }
 
 bool KvService::WaitReplicasCaughtUp() {
-  std::vector<std::shared_ptr<replication::ReplicaSession>> replicas;
-  {
-    EpochGuard guard;
-    replicas = snapshot_.load(std::memory_order_acquire)->replicas;
-  }
   bool ok = true;
-  for (auto& session : replicas) {
-    if (session == nullptr) return false;
-    if (!session->WaitCaughtUp(0)) ok = false;
+  for (auto& shard : Current().shards) {
+    if (shard->replication() == nullptr) return false;
+    if (!shard->replication()->WaitCaughtUp(0)) ok = false;
   }
   return ok;
 }
@@ -838,7 +753,8 @@ std::shared_ptr<replication::ReplicaSession> KvService::replica_session(
     size_t shard) const {
   EpochGuard guard;
   Snapshot* snap = snapshot_.load(std::memory_order_acquire);
-  return shard < snap->replicas.size() ? snap->replicas[shard] : nullptr;
+  return shard < snap->shards.size() ? snap->shards[shard]->replication()
+                                     : nullptr;
 }
 
 void KvService::RebalanceLoop() {
@@ -853,19 +769,13 @@ void KvService::RebalanceLoop() {
   while (!stop_rebalancer_.load(std::memory_order_relaxed)) {
     std::this_thread::sleep_for(
         std::chrono::milliseconds(rb.poll_interval_ms));
-    uint64_t version;
-    std::vector<std::shared_ptr<Shard>> shards;
-    {
-      EpochGuard guard;
-      Snapshot* snap = snapshot_.load(std::memory_order_acquire);
-      version = snap->version;
-      shards = snap->shards;
-    }
-    if (version != last_version) {
+    const Snapshot snap = Current();
+    const std::vector<std::shared_ptr<Shard>>& shards = snap.shards;
+    if (snap.version != last_version) {
       // Shard positions shifted; stale pressure estimates would split
       // the wrong shard.
       ewma.assign(shards.size(), 0.0);
-      last_version = version;
+      last_version = snap.version;
     }
     size_t hottest = 0;
     double hot = -1.0;
@@ -939,33 +849,19 @@ uint64_t KvService::partition_version() const {
 }
 
 size_t KvService::TotalKeys() const {
-  std::vector<std::shared_ptr<Shard>> shards;
-  {
-    EpochGuard guard;
-    shards = snapshot_.load(std::memory_order_acquire)->shards;
-  }
   size_t n = 0;
-  for (const auto& shard : shards) n += shard->store()->size();
+  for (const auto& shard : Current().shards) n += shard->store()->size();
   return n;
 }
 
 ServiceStats KvService::Stats() const {
-  std::vector<std::shared_ptr<Shard>> shards;
-  std::vector<std::shared_ptr<replication::ReplicaSession>> replicas;
-  uint64_t version;
-  {
-    EpochGuard guard;
-    Snapshot* snap = snapshot_.load(std::memory_order_acquire);
-    shards = snap->shards;
-    replicas = snap->replicas;
-    version = snap->version;
-  }
+  const Snapshot snap = Current();
   ServiceStats stats;
-  stats.shards.reserve(shards.size());
-  for (size_t i = 0; i < shards.size(); ++i) {
-    ShardStats s = shards[i]->Stats();
-    if (i < replicas.size() && replicas[i] != nullptr) {
-      replication::ReplicaSessionStats r = replicas[i]->Stats();
+  stats.shards.reserve(snap.shards.size());
+  for (const auto& shard : snap.shards) {
+    ShardStats s = shard->Stats();
+    if (shard->replication() != nullptr) {
+      replication::ReplicaSessionStats r = shard->replication()->Stats();
       s.repl_log_tail = r.log_tail;
       s.repl_applied = r.applied;
       s.repl_lag = r.lag;
@@ -981,7 +877,7 @@ ServiceStats KvService::Stats() const {
   stats.splits = splits_.load(std::memory_order_relaxed);
   stats.merges = merges_.load(std::memory_order_relaxed);
   stats.failovers = failovers_.load(std::memory_order_relaxed);
-  stats.partition_version = version;
+  stats.partition_version = snap.version;
   return stats;
 }
 

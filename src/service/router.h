@@ -20,26 +20,27 @@
 //
 // Live rebalancing: the partition is a *versioned snapshot*
 // ({version, boundaries, shards}) behind an atomic pointer, read under an
-// EpochGuard and swapped RCU-style. Splitting a hot shard retires it
-// (every Enqueue bounces with kRetired), drains and stops it, migrates
-// its records into two replacement stores via the bulk-load path (stored
-// values preserved), and publishes a new snapshot; the old snapshot is
-// handed to the global EpochManager so in-flight routers finish safely.
-// A request that raced the swap re-routes against the fresh snapshot (a
-// bounded number of times, then completes with kRetry). An optional
-// rebalancer thread watches per-shard queue-depth pressure and triggers
-// splits (and merges of cold adjacent shards) automatically.
+// EpochGuard and swapped RCU-style. Every structural change — split,
+// merge, failover — goes through one primitive, ReplaceShards: retire a
+// contiguous shard range (every Enqueue bounces with kRetired), drain and
+// stop it, let the caller build the successor shards from the quiesced
+// stores, and publish a new snapshot; the old snapshot is handed to the
+// global EpochManager so in-flight routers finish safely. A request that
+// raced the swap re-routes against the fresh snapshot (a bounded number
+// of times, then completes with kRetry). An optional rebalancer thread
+// watches per-shard queue-depth pressure and triggers splits (and merges
+// of cold adjacent shards) automatically.
 //
 // Replication (ServiceConfig::replication, off by default): every shard
 // gets a shadow replica — a second store + index instance fed by a
 // ReplicationLog tap on the primary's commit path and a shipper thread
-// (replication/replica_session.h). Snapshots carry the per-shard
-// ReplicaSession next to the Shard, so failover reuses the same
-// retire -> publish machinery as split/merge: FailOverShard quiesces the
-// primary, promotes the replica store via the store's crash-recovery
-// path, wraps it in a fresh Shard (with a new shadow replica of its
-// own), and publishes the successor snapshot — in-flight requests bounce
-// off the retired primary and re-route exactly as they do for a split.
+// (replication/replica_session.h). Each Shard owns its ReplicaSession
+// (Shard::replication()), so a snapshot swap moves shard and session
+// together. Failover is one more ReplaceShards caller: with the primary
+// quiesced, it lets the replica catch up (graceful), promotes the replica
+// store via the store's crash-recovery path and wraps it in a fresh Shard
+// with a new shadow replica of its own — in-flight requests bounce off
+// the retired primary and re-route exactly as they do for a split.
 // Replica reads (ReadPolicy::kBounce/kWait) are served inline at routing
 // time when the replica has caught up to the log tail; otherwise the
 // request falls through to the primary. Replica-served reads complete on
@@ -50,9 +51,11 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -233,7 +236,10 @@ class KvService {
   // retire -> drain -> stop -> migrate into two replacement shards ->
   // publish the successor snapshot. Serialized with every other
   // structural operation. Returns false when the split is not feasible
-  // (out of range, too few keys, max_shards reached, or shutting down).
+  // (out of range, too few keys, or shutting down); a shard whose keys
+  // are all equal is rebuilt in place and also returns false. Only the
+  // rebalancer enforces RebalanceConfig::max_shards — a direct call does
+  // not.
   bool SplitShard(size_t shard);
   // Inverse: collapses shards `left` and `left + 1` into one.
   bool MergeShards(size_t left);
@@ -271,22 +277,25 @@ class KvService {
     uint64_t version = 0;
     RangePartition partition = RangePartition(1, {});
     std::vector<std::shared_ptr<Shard>> shards;
-    // Parallel to `shards`: the shard's replication session, or nullptr
-    // when replication is off. Sessions ride the same RCU snapshot so a
-    // failover can swap shard + session atomically.
-    std::vector<std::shared_ptr<replication::ReplicaSession>> replicas;
   };
 
-  // A shard plus its (optional) replication session — what MakeShard /
-  // BuildShard / AdoptStore produce and snapshots store side by side.
-  struct ShardParts {
-    std::shared_ptr<Shard> shard;
-    std::shared_ptr<replication::ReplicaSession> replica;
+  // A contiguous run of shards and the split keys between them (one fewer
+  // than shards): what ReplaceShards retires and what its build callback
+  // returns in its place.
+  struct ShardRange {
+    std::vector<std::shared_ptr<Shard>> shards;
+    std::vector<Key> boundaries;
   };
+  using BuildFn = std::function<ShardRange(const ShardRange& retired)>;
 
-  // Routes every request in `batch` against the current snapshot and
-  // enqueues per-shard sub-batches. Requests bounced by a retired shard
-  // wait for the successor snapshot and re-route, up to `budget` times.
+  // Copy of the current snapshot (allocates: off the request path only).
+  Snapshot Current() const;
+  // Scans fan out; point requests go through RouteBatch.
+  void Route(std::vector<Request>&& batch, int budget);
+  // Routes every point request in `batch` against the current snapshot
+  // and enqueues per-shard sub-batches. Requests bounced by a retired
+  // shard wait for the successor snapshot and re-route, up to `budget`
+  // times.
   void RouteBatch(std::vector<Request>&& batch, int budget);
   // Enqueues a batch routed against snapshot `version`; on kRetired,
   // re-routes the batch (budget permitting). Completes the requests
@@ -304,18 +313,31 @@ class KvService {
   // One store instance for shard `id`; replica stores get their own
   // paged file (shard_<id>.replica.pages) under the disk backend.
   std::unique_ptr<StoreBackend> MakeStore(size_t id, bool replica);
-  ShardParts MakeShard(size_t id);
-  // Wraps an existing (promoted) store in a fresh Shard with a new
-  // shadow replica seeded from it; starts both iff the service is
-  // started. Counterpart of MakeShard for the failover path.
-  ShardParts AdoptStore(std::unique_ptr<StoreBackend> store);
-  // Builds a replacement shard owning `keys`, with values copied from the
-  // (quiesced) source shards. Aborts on store overflow -> null parts.
-  ShardParts BuildShard(const std::vector<Key>& keys,
-                        const std::vector<Shard*>& sources, bool start);
+  // Wraps `store` in Shard `id` with, when replication is on, a new
+  // shadow replica (its log replaces any tap the store still carries);
+  // `seed` copies the store's image to the replica. Starts both iff the
+  // service is started.
+  std::shared_ptr<Shard> WrapStore(size_t id,
+                                    std::unique_ptr<StoreBackend> store,
+                                    bool seed);
+  // A new shard owning `keys`, with values copied from the (quiesced)
+  // source shards. Null on store overflow.
+  std::shared_ptr<Shard> BuildShard(
+      const std::vector<Key>& keys,
+      const std::vector<std::shared_ptr<Shard>>& sources);
+  // The one structural-change protocol (see the file comment): quiesce
+  // shards [first, first + count), replace them with what `build`
+  // returns, publish. Returns the retire -> publish outage in ns, or
+  // nullopt (nothing retired) when shut down or out of range.
+  std::optional<uint64_t> ReplaceShards(size_t first, size_t count,
+                                        const BuildFn& build);
   void PublishSnapshot(Snapshot* next);
   void RebalanceLoop();
   static void CompleteInline(Request& req, RequestStatus status);
+  // Completes every request Enqueue turned away with `result` (for a
+  // retired shard: kRetry, the re-route budget ran out).
+  static void Bounce(std::vector<Request>& batch,
+                     Shard::EnqueueResult result);
 
   std::string index_name_;
   ServiceConfig config_;

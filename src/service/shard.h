@@ -115,6 +115,10 @@ class Shard {
   // and recovers but no worker is spawned.
   uint64_t CrashAndRecover();
 
+  // The attached replication session; nullptr when replication is off.
+  const std::shared_ptr<replication::ReplicaSession>& replication() const {
+    return replication_;
+  }
   StoreBackend* store() { return store_.get(); }
   const StoreBackend& store() const { return *store_; }
   size_t id() const { return id_; }

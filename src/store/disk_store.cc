@@ -5,7 +5,6 @@
 #include <cstring>
 #include <thread>
 
-#include "common/checksum.h"
 #include "common/timer.h"
 
 namespace pieces {
@@ -41,14 +40,6 @@ DiskStore::DiskStore(std::unique_ptr<OrderedIndex> index,
   } else if (slots_per_page_ == 0) {
     error_ = "DiskStore: page_size too small for one record";
   }
-}
-
-RecordHeader DiskStore::MakeHeader(const uint8_t* payload) {
-  RecordHeader header;
-  header.seqno = next_seqno_.fetch_add(1, std::memory_order_relaxed);
-  header.crc = Crc32c(payload, PayloadBytes());
-  header.magic = kRecordCommitMagic;
-  return header;
 }
 
 bool DiskStore::ClaimSlot(uint32_t* page, uint32_t* slot, bool* fresh_page) {
@@ -154,7 +145,7 @@ bool DiskStore::BulkLoad(const std::vector<Key>& keys,
     uint8_t* rec = frame + SlotOffset(slot);
     std::memcpy(rec, &key, sizeof(Key));
     fill(key, rec + sizeof(Key));
-    RecordHeader header = MakeHeader(rec);
+    RecordHeader header = SealRecord(rec, PayloadBytes(), next_seqno_++);
     std::memcpy(rec + PayloadBytes(), &header, sizeof(RecordHeader));
     entries.push_back({key, PackHandle(page, slot)});
   }
@@ -192,7 +183,7 @@ bool DiskStore::PutSingle(Key key, const uint8_t* value) {
   std::memcpy(rec + sizeof(Key), value, config_.value_size);
   std::memset(rec + PayloadBytes(), 0, sizeof(RecordHeader));
   pool_.FlushPage(page);
-  RecordHeader header = MakeHeader(rec);
+  RecordHeader header = SealRecord(rec, PayloadBytes(), next_seqno_++);
   std::memcpy(rec + PayloadBytes(), &header, sizeof(RecordHeader));
   pool_.FlushPage(page);
   if (!index_->Insert(key, PackHandle(page, slot))) {
@@ -241,7 +232,7 @@ bool DiskStore::PutGrouped(Key key, const uint8_t* value) {
   entry.rec = rec;
   entry.key = key;
   entry.handle = PackHandle(page, slot);
-  entry.header = MakeHeader(rec);
+  entry.header = SealRecord(rec, PayloadBytes(), next_seqno_++);
   commit_queue_.push_back(&entry);
   commit_cv_.notify_all();  // wake a leader waiting out its joiner window
   // Park until a leader resolves the entry — or lead, whenever the
@@ -525,49 +516,24 @@ uint64_t DiskStore::Recover() {
   // The file's page count survives a crash the way a file's length does;
   // nothing else from the pre-crash DRAM state is trusted. Scan every slot
   // straight off the file (bypassing the pool — recovery is one pass and
-  // would only evict-thrash it) and keep only validating commit headers:
-  // zeroed slots fail the magic check, torn headers cannot complete the
-  // trailing magic, torn payloads fail the CRC.
+  // would only evict-thrash it) and keep only validating commit headers.
   const size_t num_pages = pages_.num_pages();
-  struct Recovered {
-    Key key;
-    Value handle;
-    uint64_t seqno;
-  };
-  std::vector<Recovered> records;
+  std::vector<RecoveredRecord> records;
   std::vector<uint8_t> page_buf(config_.page_size);
-  uint64_t max_seqno = 0;
   for (uint32_t p = 0; p < num_pages; ++p) {
     pages_.ReadPage(p, page_buf.data());
     for (uint32_t s = 0; s < slots_per_page_; ++s) {
-      const uint8_t* rec = page_buf.data() + SlotOffset(s);
-      RecordHeader header;
-      std::memcpy(&header, rec + PayloadBytes(), sizeof(RecordHeader));
-      if (header.magic != kRecordCommitMagic || header.seqno == 0) continue;
-      if (Crc32c(rec, PayloadBytes()) != header.crc) continue;
-      Key key;
-      std::memcpy(&key, rec, sizeof(Key));
-      records.push_back({key, PackHandle(p, s), header.seqno});
-      max_seqno = std::max(max_seqno, header.seqno);
+      RecoveredRecord found{.handle = PackHandle(p, s)};
+      if (ValidateRecord(page_buf.data() + SlotOffset(s), PayloadBytes(),
+                         &found)) {
+        records.push_back(found);
+      }
     }
   }
-  // Out-of-place updates leave several committed records per key; the
-  // highest seqno wins.
-  std::sort(records.begin(), records.end(),
-            [](const Recovered& a, const Recovered& b) {
-              return a.key != b.key ? a.key < b.key : a.seqno < b.seqno;
-            });
-  std::vector<KeyValue> unique;
-  unique.reserve(records.size());
-  for (const Recovered& r : records) {
-    if (!unique.empty() && unique.back().key == r.key) {
-      unique.back().value = r.handle;
-    } else {
-      unique.push_back({r.key, r.handle});
-    }
-  }
-  index_->BulkLoad(unique);
-  size_.store(unique.size(), std::memory_order_relaxed);
+  uint64_t max_seqno;
+  const std::vector<KeyValue> latest = LatestPerKey(records, &max_seqno);
+  index_->BulkLoad(latest);
+  size_.store(latest.size(), std::memory_order_relaxed);
   next_seqno_.store(max_seqno + 1, std::memory_order_relaxed);
   // Never resume filling a possibly-torn tail page: the next claim after
   // recovery opens a fresh page.

@@ -137,7 +137,6 @@ class DiskStore : public StoreBackend {
   size_t PayloadBytes() const { return sizeof(Key) + config_.value_size; }
   size_t RecordBytes() const { return PayloadBytes() + sizeof(RecordHeader); }
   size_t SlotOffset(uint32_t slot) const { return slot * RecordBytes(); }
-  RecordHeader MakeHeader(const uint8_t* payload);
   // Claims a fresh slot under write_mu_, allocating (and pinning — via
   // *frame) a page when the tail fills. False on file-capacity
   // exhaustion.

@@ -6,13 +6,19 @@
 // validate: the durable prefix of a torn 16-byte header always ends
 // before the magic completes. ViperStore persists the header with a PMem
 // fence; DiskStore with a page write-through + fsync — same protocol,
-// different barrier (see DESIGN.md "Crash consistency").
+// different barrier (see DESIGN.md "Crash consistency"). Sealing,
+// validation and the recovery-time "latest record per key" resolution
+// live here once; each store keeps only its medium walk.
 #ifndef PIECES_STORE_RECORD_FORMAT_H_
 #define PIECES_STORE_RECORD_FORMAT_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <vector>
 
+#include "common/checksum.h"
 #include "index/ordered_index.h"
 
 namespace pieces {
@@ -26,6 +32,64 @@ struct RecordHeader {
 static_assert(sizeof(RecordHeader) == 16);
 
 inline constexpr uint32_t kRecordCommitMagic = 0x50435631u;  // "1VCP"
+
+// The commit header for a record whose first `payload_bytes` hold
+// key+value; persisted after the payload, it makes the record count.
+inline RecordHeader SealRecord(const uint8_t* payload, size_t payload_bytes,
+                               uint64_t seqno) {
+  RecordHeader header;
+  header.seqno = seqno;
+  header.crc = Crc32c(payload, payload_bytes);
+  header.magic = kRecordCommitMagic;
+  return header;
+}
+
+// A committed record found by a recovery scan.
+struct RecoveredRecord {
+  Key key = 0;
+  Value handle = 0;  // where the medium keeps it
+  uint64_t seqno = 0;
+};
+
+// True iff the record image [key | value | RecordHeader] is committed;
+// then fills out->key and out->seqno. Zeroed (never written or
+// crash-discarded) slots fail the magic check, torn headers cannot
+// complete the trailing magic, and torn payloads fail the CRC.
+inline bool ValidateRecord(const uint8_t* record, size_t payload_bytes,
+                           RecoveredRecord* out) {
+  RecordHeader header;
+  std::memcpy(&header, record + payload_bytes, sizeof(RecordHeader));
+  if (header.magic != kRecordCommitMagic || header.seqno == 0) return false;
+  if (Crc32c(record, payload_bytes) != header.crc) return false;
+  std::memcpy(&out->key, record, sizeof(Key));
+  out->seqno = header.seqno;
+  return true;
+}
+
+// Out-of-place updates leave several committed records per key; the
+// highest seqno wins. Sorts `records` and returns the winners' (key,
+// handle) pairs in key order, ready for OrderedIndex::BulkLoad, and sets
+// *max_seqno to the highest seqno seen (0 when none) — the store resumes
+// after it.
+inline std::vector<KeyValue> LatestPerKey(
+    std::vector<RecoveredRecord>& records, uint64_t* max_seqno) {
+  std::sort(records.begin(), records.end(),
+            [](const RecoveredRecord& a, const RecoveredRecord& b) {
+              return a.key != b.key ? a.key < b.key : a.seqno < b.seqno;
+            });
+  std::vector<KeyValue> latest;
+  latest.reserve(records.size());
+  *max_seqno = 0;
+  for (const RecoveredRecord& r : records) {
+    *max_seqno = std::max(*max_seqno, r.seqno);
+    if (!latest.empty() && latest.back().key == r.key) {
+      latest.back().value = r.handle;
+    } else {
+      latest.push_back({r.key, r.handle});
+    }
+  }
+  return latest;
+}
 
 // The deterministic value the synthetic write paths store for `key`,
 // shared across backends so differential tests can compare payloads

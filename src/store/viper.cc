@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/checksum.h"
 #include "common/timer.h"
 
 namespace pieces {
@@ -30,14 +29,6 @@ void ViperStore::FillSyntheticValue(Key key, uint8_t* buf,
 
 void ViperStore::FillSynthetic(Key key, uint8_t* buf) const {
   FillSyntheticValue(key, buf, config_.value_size);
-}
-
-ViperStore::SlotHeader ViperStore::MakeHeader(const uint8_t* payload) {
-  SlotHeader header;
-  header.seqno = next_seqno_.fetch_add(1, std::memory_order_relaxed);
-  header.crc = Crc32c(payload, PayloadBytes());
-  header.magic = kCommitMagic;
-  return header;
 }
 
 bool ViperStore::ClaimSlot(uint32_t* page, uint32_t* slot) {
@@ -81,8 +72,9 @@ bool ViperStore::BulkLoad(const std::vector<Key>& keys,
     }
     std::memcpy(record.data(), &key, sizeof(Key));
     fill(key, record.data() + sizeof(Key));
-    SlotHeader header = MakeHeader(record.data());
-    std::memcpy(record.data() + PayloadBytes(), &header, sizeof(SlotHeader));
+    RecordHeader header =
+        SealRecord(record.data(), PayloadBytes(), next_seqno_++);
+    std::memcpy(record.data() + PayloadBytes(), &header, sizeof(RecordHeader));
     uint8_t* addr = SlotAddr(page, slot);
     pmem_.Write(addr, record.data(), record.size());
     if (span_bytes > 0 && page != span_page) {
@@ -118,17 +110,18 @@ bool ViperStore::Put(Key key, const uint8_t* value) {
   // so recovery includes exactly the acknowledged puts.
   pmem_.Write(addr, record.data(), PayloadBytes());
   pmem_.Persist(addr, PayloadBytes());
-  SlotHeader header = MakeHeader(record.data());
-  pmem_.Write(addr + PayloadBytes(), &header, sizeof(SlotHeader));
-  pmem_.Persist(addr + PayloadBytes(), sizeof(SlotHeader));
+  RecordHeader header =
+      SealRecord(record.data(), PayloadBytes(), next_seqno_++);
+  pmem_.Write(addr + PayloadBytes(), &header, sizeof(RecordHeader));
+  pmem_.Persist(addr + PayloadBytes(), sizeof(RecordHeader));
   if (!index_->Insert(key, PackHandle(page, slot))) {
     // The record is durable but will never be acknowledged: revoke its
     // commit header so recovery cannot resurrect a put the caller was
     // told failed (the old code returned false here and left the slot
     // committed).
-    SlotHeader revoked;
-    pmem_.Write(addr + PayloadBytes(), &revoked, sizeof(SlotHeader));
-    pmem_.Persist(addr + PayloadBytes(), sizeof(SlotHeader));
+    RecordHeader revoked;
+    pmem_.Write(addr + PayloadBytes(), &revoked, sizeof(RecordHeader));
+    pmem_.Persist(addr + PayloadBytes(), sizeof(RecordHeader));
     return false;
   }
   // Replication tap: the record is durable and visible — announce it
@@ -220,49 +213,23 @@ uint64_t ViperStore::Recover() {
   next_slot_.store(static_cast<uint32_t>(config_.slots_per_page),
                    std::memory_order_relaxed);
 
-  // Scan every slot; trust only validating commit headers. Zeroed (never
-  // written or crash-discarded) slots fail the magic check, torn headers
-  // cannot complete the trailing magic, and torn payloads fail the CRC.
-  struct Recovered {
-    Key key;
-    Value handle;
-    uint64_t seqno;
-  };
-  std::vector<Recovered> records;
+  // Scan every slot; trust only validating commit headers.
+  std::vector<RecoveredRecord> records;
   records.reserve(num_pages * config_.slots_per_page);
   std::vector<uint8_t> record(RecordBytes());
-  uint64_t max_seqno = 0;
   for (uint32_t p = 0; p < num_pages; ++p) {
     for (uint32_t s = 0; s < config_.slots_per_page; ++s) {
       pmem_.Read(SlotAddr(p, s), record.data(), record.size());
-      SlotHeader header;
-      std::memcpy(&header, record.data() + PayloadBytes(),
-                  sizeof(SlotHeader));
-      if (header.magic != kCommitMagic || header.seqno == 0) continue;
-      if (Crc32c(record.data(), PayloadBytes()) != header.crc) continue;
-      Key key;
-      std::memcpy(&key, record.data(), sizeof(Key));
-      records.push_back({key, PackHandle(p, s), header.seqno});
-      max_seqno = std::max(max_seqno, header.seqno);
+      RecoveredRecord found{.handle = PackHandle(p, s)};
+      if (ValidateRecord(record.data(), PayloadBytes(), &found)) {
+        records.push_back(found);
+      }
     }
   }
-  // Out-of-place updates leave several committed records per key; the
-  // highest seqno wins.
-  std::sort(records.begin(), records.end(),
-            [](const Recovered& a, const Recovered& b) {
-              return a.key != b.key ? a.key < b.key : a.seqno < b.seqno;
-            });
-  std::vector<KeyValue> unique;
-  unique.reserve(records.size());
-  for (const Recovered& r : records) {
-    if (!unique.empty() && unique.back().key == r.key) {
-      unique.back().value = r.handle;
-    } else {
-      unique.push_back({r.key, r.handle});
-    }
-  }
-  index_->BulkLoad(unique);
-  size_.store(unique.size(), std::memory_order_relaxed);
+  uint64_t max_seqno;
+  const std::vector<KeyValue> latest = LatestPerKey(records, &max_seqno);
+  index_->BulkLoad(latest);
+  size_.store(latest.size(), std::memory_order_relaxed);
   next_seqno_.store(max_seqno + 1, std::memory_order_relaxed);
   return timer.ElapsedNanos();
 }

@@ -6,7 +6,7 @@
 // benches exercise identical code paths around the index under test.
 //
 // Durability follows Viper's per-record commit metadata: each slot is
-// [key | value | SlotHeader], and the header (monotonic seqno + CRC32C
+// [key | value | RecordHeader], and the header (monotonic seqno + CRC32C
 // over key+value + commit magic) is persisted *after* the payload. A slot
 // counts as durable only when its header validates, so recovery after a
 // crash (see crash_controller.h) reconstructs exactly the
@@ -43,12 +43,6 @@ class ViperStore : public StoreBackend {
     uint64_t read_latency_ns = 0;
     uint64_t write_latency_ns = 0;
   };
-
-  // Per-slot commit metadata, persisted after the payload — the shared
-  // on-media record layout (store/record_format.h): magic sits last so a
-  // torn header flush can never validate.
-  using SlotHeader = RecordHeader;
-  static constexpr uint32_t kCommitMagic = kRecordCommitMagic;
 
   ViperStore(std::unique_ptr<OrderedIndex> index, const Config& config);
 
@@ -152,7 +146,7 @@ class ViperStore : public StoreBackend {
   }
 
   size_t PayloadBytes() const { return sizeof(Key) + config_.value_size; }
-  size_t RecordBytes() const { return PayloadBytes() + sizeof(SlotHeader); }
+  size_t RecordBytes() const { return PayloadBytes() + sizeof(RecordHeader); }
   // One page's allocation size (Allocate rounds to 8 bytes).
   size_t PageBytes() const {
     return (RecordBytes() * config_.slots_per_page + 7) & ~size_t{7};
@@ -164,8 +158,6 @@ class ViperStore : public StoreBackend {
   // PMem exhaustion.
   bool ClaimSlot(uint32_t* page, uint32_t* slot);
   void FillSynthetic(Key key, uint8_t* buf) const;
-  // Header for a record buffer whose first PayloadBytes() are key+value.
-  SlotHeader MakeHeader(const uint8_t* payload);
 
   Config config_;
   SimulatedPmem pmem_;

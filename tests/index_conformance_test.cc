@@ -271,7 +271,9 @@ TEST_P(IndexConformanceTest, GetBatchAfterInserts) {
     want_hits += want ? 1 : 0;
     ASSERT_EQ(got_found[i], want)
         << index_->Name() << " key=" << probes[i];
-    if (want) EXPECT_EQ(got_values[i], want_value) << index_->Name();
+    if (want) {
+      EXPECT_EQ(got_values[i], want_value) << index_->Name();
+    }
   }
   EXPECT_EQ(hits, want_hits) << index_->Name();
 }

@@ -5,6 +5,7 @@
 //  * LSA-gap achieves lower mean error than LSA at equal segmentation;
 //  * the greedy spline respects its error corridor.
 #include <algorithm>
+#include <ostream>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +25,13 @@ struct Case {
   size_t n;
   size_t eps;
 };
+
+// Gives each case a stable printed value (e.g. "ycsb_n50000_eps8"); without
+// it gtest prints the raw bytes of `dataset`'s pointer, so the discovered test
+// names would change from build to build with address-space randomisation.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << c.dataset << "_n" << c.n << "_eps" << c.eps;
+}
 
 class PlaPropertyTest : public ::testing::TestWithParam<Case> {};
 
@@ -149,7 +157,9 @@ TEST(PlaTest, LsaGapPlacementIsOrderedAndInBounds) {
     ASSERT_EQ(g.slots.size(), g.count);
     for (size_t i = 0; i < g.slots.size(); ++i) {
       EXPECT_LT(g.slots[i], g.capacity);
-      if (i > 0) EXPECT_GT(g.slots[i], g.slots[i - 1]);
+      if (i > 0) {
+        EXPECT_GT(g.slots[i], g.slots[i - 1]);
+      }
     }
   }
 }

@@ -583,5 +583,37 @@ TEST(SemiSyncAck, HealthyLinkConfirmsDeadLinkDegrades) {
   EXPECT_EQ(stats.acked, 10u);
 }
 
+// A dead link must not leave the log growing with the write history:
+// nothing will ship the records, so the log stops keeping copies — while
+// tail() keeps counting, so the lost tail (tail - applied) stays exact.
+TEST(ReplicationLogBound, DeadLinkStopsRetainingRecords) {
+  auto primary = MakeStore("BTree");
+  ASSERT_TRUE(primary->BulkLoad(BaseKeys(16)));
+  ReplicaSession session(MakeStore("BTree"), SessionCfg());
+  primary->SetCommitTap(session.log());
+  ASSERT_TRUE(session.SeedFromPrimary(*primary));
+  constexpr uint64_t kDelivered = 3;
+  constexpr uint64_t kBeforeDeath = 10;
+  session.transport()->FailAfter(kDelivered);
+  session.Start();
+  for (uint64_t i = 0; i < kBeforeDeath; ++i) {
+    ASSERT_TRUE(primary->Put(500 + i, OpValue(i).data()));
+    EXPECT_EQ(session.AwaitReplicated(), i < kDelivered) << "op " << i;
+  }
+  ASSERT_TRUE(session.dead());
+  const size_t retained = session.log()->retained();
+  const uint64_t tail = session.log()->tail();
+
+  constexpr uint64_t kMore = 500;
+  for (uint64_t i = 0; i < kMore; ++i) {
+    ASSERT_TRUE(primary->Put(1000 + i, OpValue(i).data()));
+  }
+  EXPECT_LE(session.log()->retained(), retained);
+  EXPECT_EQ(session.log()->tail(), tail + kMore);
+  replication::ReplicaSessionStats stats = session.Stats();
+  EXPECT_EQ(stats.applied, kDelivered);
+  EXPECT_EQ(stats.lag, kBeforeDeath + kMore - kDelivered);
+}
+
 }  // namespace
 }  // namespace pieces

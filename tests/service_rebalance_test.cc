@@ -18,6 +18,7 @@
 
 #include "common/random.h"
 #include "common/timer.h"
+#include "store/record_format.h"
 #include "workload/datasets.h"
 
 namespace pieces::service {
@@ -166,6 +167,51 @@ TEST(ServiceSplitTest, SplitRejectsDegenerateTargets) {
   svc.Shutdown();
   EXPECT_FALSE(svc.SplitShard(0));       // shutting down
   EXPECT_EQ(svc.Stats().splits, 0u);
+}
+
+// The merge fallback: when the union of two shards overflows one store,
+// MergeShards rebuilds both halves in place, keeps the boundary, still
+// publishes a new partition version, and loses no byte.
+TEST(ServiceSplitTest, MergeOverflowKeepsBoundaryAndEveryRecord) {
+  std::vector<Key> keys = MakeUniformKeys(2048, 67);
+  ServiceConfig cfg = SmallConfig(2);
+  // Viper pages hold 64 slots of [key | 64-byte value | 16-byte header].
+  // Room for 26 pages: one half (1024 records = 16 pages, plus a page of
+  // updates) fits, the union (32 pages) does not.
+  const size_t page_bytes = 64 * (sizeof(Key) + 64 + sizeof(RecordHeader));
+  cfg.store.pmem_capacity = 26 * page_bytes;
+  KvService svc("BTree", cfg, keys);
+  ASSERT_TRUE(svc.BulkLoad(keys));
+  svc.Start();
+
+  // Stored bytes, not re-synthesized ones, must survive the rebuild.
+  std::vector<uint8_t> marked(svc.value_size(), 0xc3);
+  std::set<Key> updated;
+  for (size_t i = 0; i < keys.size(); i += 37) {
+    ASSERT_EQ(svc.Put(keys[i], marked.data()), RequestStatus::kOk);
+    updated.insert(keys[i]);
+  }
+
+  const std::vector<Key> boundaries = svc.partition().boundaries();
+  const uint64_t v0 = svc.partition_version();
+  EXPECT_FALSE(svc.MergeShards(0));
+  EXPECT_EQ(svc.num_shards(), 2u);
+  EXPECT_EQ(svc.partition().boundaries(), boundaries);
+  EXPECT_GT(svc.partition_version(), v0);
+  EXPECT_EQ(svc.Stats().merges, 0u);
+  EXPECT_EQ(svc.TotalKeys(), keys.size());
+
+  std::vector<uint8_t> want(svc.value_size());
+  std::vector<uint8_t> got(svc.value_size());
+  for (Key k : keys) {
+    ASSERT_EQ(svc.Get(k, got.data()), RequestStatus::kOk) << k;
+    if (updated.count(k) != 0) {
+      want = marked;
+    } else {
+      FillSyntheticRecordValue(k, want.data(), want.size());
+    }
+    ASSERT_EQ(got, want) << k;
+  }
 }
 
 TEST(ServiceSplitTest, CrashRecoveryAfterSplitServesMigratedRecords) {

@@ -430,6 +430,73 @@ TEST(ServiceFailover, DeadLinkCrashFailoverLosesExactlyTheUnshippedTail) {
   service.Shutdown();
 }
 
+// The replacement paths composed under semi-sync acks — failover, split,
+// merge, failover — with fresh writes between steps. After every step
+// each acked record reads back byte for byte, and every shard's replica
+// (the successors' fresh ones included) catches up to its log.
+TEST(ServiceFailover, ComposedReplacementsKeepEveryReplicatedAck) {
+  ServiceConfig cfg = BaseConfig("viper", "fo_composed");
+  cfg.replication.ack = ReplicationConfig::AckMode::kReplicated;
+  const std::vector<Key> load = LoadKeys(512);
+  KvService service("ALEX", cfg, load);
+  ASSERT_TRUE(service.BulkLoad(load));
+  service.Start();
+
+  std::map<Key, std::vector<uint8_t>> model;
+  for (Key key : load) {
+    std::vector<uint8_t> value(kValueSize);
+    FillSyntheticRecordValue(key, value.data(), value.size());
+    model[key] = std::move(value);
+  }
+  uint64_t tag = 0;
+  auto write_round = [&] {
+    for (int i = 0; i < 64; ++i, ++tag) {
+      // Updates of loaded keys interleaved with inserts of fresh ones.
+      const Key key = tag % 2 == 0 ? load[(tag * 7) % load.size()]
+                                   : Key{1'000'000 + tag};
+      std::vector<uint8_t> value = TaggedValue(tag);
+      ASSERT_EQ(service.Put(key, value.data()), RequestStatus::kOk);
+      model[key] = std::move(value);
+    }
+  };
+  auto check = [&] {
+    EXPECT_TRUE(service.WaitReplicasCaughtUp());
+    std::vector<uint8_t> out(kValueSize);
+    for (const auto& [key, want] : model) {
+      ASSERT_EQ(service.Get(key, out.data()), RequestStatus::kOk)
+          << "acked write lost, key " << key;
+      ASSERT_EQ(std::memcmp(out.data(), want.data(), kValueSize), 0)
+          << "key " << key;
+    }
+  };
+
+  ASSERT_NO_FATAL_FAILURE(write_round());
+  FailoverReport first = service.FailOverShard(0, /*graceful=*/false);
+  ASSERT_TRUE(first.ok);
+  EXPECT_EQ(first.lost_records, 0u);
+  ASSERT_NO_FATAL_FAILURE(check()) << "after failover";
+
+  ASSERT_NO_FATAL_FAILURE(write_round());
+  ASSERT_TRUE(service.SplitShard(0));
+  ASSERT_NO_FATAL_FAILURE(check()) << "after split";
+
+  ASSERT_NO_FATAL_FAILURE(write_round());
+  ASSERT_TRUE(service.MergeShards(0));
+  ASSERT_NO_FATAL_FAILURE(check()) << "after merge";
+
+  ASSERT_NO_FATAL_FAILURE(write_round());
+  FailoverReport second = service.FailOverShard(0, /*graceful=*/false);
+  ASSERT_TRUE(second.ok);
+  EXPECT_EQ(second.lost_records, 0u);
+  ASSERT_NO_FATAL_FAILURE(check()) << "after second failover";
+
+  ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.failovers, 2u);
+  EXPECT_EQ(stats.splits, 1u);
+  EXPECT_EQ(stats.merges, 1u);
+  service.Shutdown();
+}
+
 // Failover is refused cleanly when replication is off.
 TEST(ServiceFailover, RefusedWithoutReplication) {
   ServiceConfig cfg = BaseConfig("viper", "fo_off");
