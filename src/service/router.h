@@ -9,8 +9,10 @@
 //    A FACE-like skewed key set splits evenly by *mass* even though 99.9%
 //    of the domain is empty.
 //  * Batching: SubmitBatch coalesces a client's requests into per-shard
-//    batches (one queue handoff per shard per max_batch requests), so the
-//    per-request cost of the queue mutex amortizes away.
+//    batches (one queue handoff per shard per max_batch requests). A
+//    paced client still sends about one request per batch, and there the
+//    cost was never the queue mutex but waking a parked worker; the shard
+//    worker therefore spins briefly before it parks (shard.h, "Hand-off").
 //  * Cross-shard scans fan out to every shard whose range intersects
 //    [from, ...) and merge in key order — range partitioning makes the
 //    merge a concatenation in shard order.

@@ -1,7 +1,13 @@
 #include "service/shard.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <utility>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 #include "common/timer.h"
 
@@ -16,6 +22,30 @@ uint64_t MixKey(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
+}
+
+void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  _mm_pause();
+#else
+  std::this_thread::yield();
+#endif
+}
+
+// Worker threads started and not yet joined, across every shard in the
+// process.
+std::atomic<size_t> g_workers{0};
+
+// CPUs the affinity mask lets this process run on; not the host's count,
+// which ignores the mask. 1 (never spin) when the mask cannot be read.
+size_t UsableCpus() {
+  static const size_t cpus = [] {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) != 0) return size_t{1};
+    return static_cast<size_t>(CPU_COUNT(&set));
+  }();
+  return cpus;
 }
 
 }  // namespace
@@ -62,6 +92,27 @@ size_t Shard::LaneOf(Key key) const {
              : static_cast<size_t>(MixKey(key) % lanes_.size());
 }
 
+bool Shard::SpinsWhenIdle() { return g_workers.load() < UsableCpus(); }
+
+void Shard::PublishReady(Lane& lane) {
+  lane.ready.store(!lane.queue.empty());
+}
+
+void Shard::SpinForWork(const Lane& lane) {
+  // The flag only ends the spin early: the worker then takes mu_ and
+  // re-checks the real predicate, so a stale read costs at most one park.
+  if (lane.ready.load() || !SpinsWhenIdle()) return;
+  // The batch just executed may have woken a client (its `done`) onto
+  // this CPU; let it run before the spin takes the core for a window.
+  std::this_thread::yield();
+  const uint64_t deadline = NowNanos() + kSpinWindowNs;
+  // The clock is read once per 64 polls.
+  for (uint32_t i = 1; !lane.ready.load(); ++i) {
+    CpuRelax();
+    if (i % 64 == 0 && NowNanos() >= deadline) break;
+  }
+}
+
 void Shard::Start() {
   std::lock_guard<std::mutex> lock(mu_);
   if (started_ || stopping_) return;
@@ -70,6 +121,7 @@ void Shard::Start() {
   for (size_t i = 0; i < lanes_.size(); ++i) {
     workers_.emplace_back(&Shard::WorkerLoop, this, i);
   }
+  g_workers.fetch_add(workers_.size());
   if (maintainer_ != nullptr) maintainer_->Start();
 }
 
@@ -98,6 +150,7 @@ Shard::EnqueueResult Shard::Enqueue(std::vector<Request>&& batch,
   max_queue_ = std::max<uint64_t>(max_queue_, queued_requests_);
   if (lanes_.size() == 1) {
     lanes_[0]->queue.push_back(std::move(batch));
+    PublishReady(*lanes_[0]);
     lanes_[0]->has_work.notify_one();
     return EnqueueResult::kAccepted;
   }
@@ -110,6 +163,7 @@ Shard::EnqueueResult Shard::Enqueue(std::vector<Request>&& batch,
   for (size_t i = 0; i < per_lane.size(); ++i) {
     if (per_lane[i].empty()) continue;
     lanes_[i]->queue.push_back(std::move(per_lane[i]));
+    PublishReady(*lanes_[i]);
     lanes_[i]->has_work.notify_one();
   }
   return EnqueueResult::kAccepted;
@@ -131,7 +185,9 @@ void Shard::Stop() {
     has_space_.notify_all();
   }
   for (std::thread& w : workers_) {
-    if (w.joinable()) w.join();
+    if (!w.joinable()) continue;
+    w.join();
+    g_workers.fetch_sub(1);
   }
   workers_.clear();
 }
@@ -205,6 +261,7 @@ void Shard::WorkerLoop(size_t lane_idx) {
   Scratch scratch;
   scratch.value.resize(store_->value_size());
   for (;;) {
+    SpinForWork(lane);
     std::vector<Request> batch;
     {
       std::unique_lock<std::mutex> lock(mu_);
@@ -218,6 +275,7 @@ void Shard::WorkerLoop(size_t lane_idx) {
       }
       batch = std::move(lane.queue.front());
       lane.queue.pop_front();
+      PublishReady(lane);
       queued_requests_ -= batch.size();
       in_flight_ += batch.size();
       has_space_.notify_all();

@@ -3,12 +3,27 @@
 // per-worker (lane) request queues.
 // The default is a single worker — the paper's Figs. 12/14 show most
 // learned indexes are single-writer, so the only lock anywhere near such
-// an index is the queue mutex, amortized across a whole batch per
-// acquisition. When the index reports SupportsConcurrentWrites() (ALEX
-// via per-node optimistic version locks, XIndex via per-group writer
-// locks), a shard may run N writers: requests are routed to a lane by a
-// hash of their key, which keeps per-key ordering while letting distinct
-// keys execute in parallel inside the concurrent index.
+// an index is the queue mutex, taken once per batch. When the index
+// reports SupportsConcurrentWrites() (ALEX via per-node optimistic version
+// locks, XIndex via per-group writer locks), a shard may run N writers:
+// requests are routed to a lane by a hash of their key, which keeps
+// per-key ordering while letting distinct keys execute in parallel inside
+// the concurrent index.
+//
+// Hand-off: the mutex is not the cost that matters. A paced client sends
+// about one request per batch, and a worker parked on its lane's condvar
+// costs every such request a futex wake plus a reschedule (DESIGN.md
+// "Serving layer" has the traced split). So an idle worker first yields
+// once (a client its last completion woke may be queued on this CPU),
+// then spins for at most kSpinWindowNs on its lane's `ready` flag (a
+// lock-free mirror of !queue.empty(), written under mu_), and only then
+// parks in the unchanged locked has_work.wait. The locked predicate still
+// decides, so a wake-up cannot be lost and admission, drain, retire and
+// stop behave exactly as before; a spinning worker leaves no futex
+// waiter, so the producer's notify_one returns without a syscall. The
+// spin only pays while a producer can run beside the spinner, so workers
+// spin only while the process's started workers are fewer than its
+// usable CPUs (SpinsWhenIdle); otherwise they park at once.
 //
 // Admission control is enforced at Enqueue: the queue is bounded in
 // *requests* (not batches, summed across lanes), and a full queue either
@@ -52,6 +67,18 @@ class Shard {
     // re-route against the current partition snapshot.
     kRetired,
   };
+
+  // How long an idle worker polls its lane before parking on has_work.
+  // The per-lane request gaps of the perfbench workloads are 6.7-16.7 us;
+  // this is >= 3x the largest and bounds an idle worker's burn.
+  static constexpr uint64_t kSpinWindowNs = 50'000;
+
+  // True while the worker threads started (and not yet joined) across
+  // every shard in the process are fewer than the CPUs its affinity mask
+  // allows: only then does an idle worker spin before it parks. With a
+  // worker on every CPU a spinner would hold the CPU its producer needs,
+  // so workers park at once; with one usable CPU they never spin.
+  static bool SpinsWhenIdle();
 
   // When `maintenance.enabled` and the shard's index implements
   // MaintenanceHook, Start() also spawns a background maintainer that
@@ -145,11 +172,22 @@ class Shard {
   // (admission control is a whole-shard property); only the has_work
   // signal is per-lane so a batch wakes exactly its lane's worker.
   struct Lane {
+    // Lock-free mirror of !queue.empty(), stored under mu_ by
+    // PublishReady and polled by the spinning worker. On its own cache
+    // line so the spin does not share a line with another lane's flag or
+    // with the queue. Stop() does not set it: a spinning worker sees
+    // stopping_ once its window ends, at most kSpinWindowNs later.
+    alignas(64) std::atomic<bool> ready{false};
     std::condition_variable has_work;
     std::deque<std::vector<Request>> queue;
   };
 
   size_t LaneOf(Key key) const;
+  // Caller holds mu_.
+  void PublishReady(Lane& lane);
+  // Polls lane.ready for up to kSpinWindowNs when SpinsWhenIdle(). A hint
+  // only: the caller still waits on the locked predicate.
+  static void SpinForWork(const Lane& lane);
   void WorkerLoop(size_t lane);
   void ExecuteBatch(std::vector<Request>& batch, Scratch& scratch);
   // Multi-get for a run of >= 2 consecutive kRead requests.

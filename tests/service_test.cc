@@ -1,19 +1,30 @@
 // Sharded KV service (src/service/): CDF-balanced range partitioning,
-// request routing, cross-shard scans, admission control and graceful
-// shutdown. The ServiceTest suite name is part of the TSan CI filter —
-// several tests here exercise the worker threads concurrently.
+// request routing, cross-shard scans, admission control, graceful
+// shutdown and the spin-then-park worker hand-off. The Service* suite
+// names are part of the ASan and TSan CI filters — several tests here
+// exercise the worker threads concurrently.
 #include "service/router.h"
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
+#include <time.h>
+
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <map>
+#include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
+#include "common/random.h"
 #include "common/timer.h"
 #include "workload/datasets.h"
 
@@ -457,6 +468,249 @@ TEST(ServiceTest, StoreFullSurfacesPerRequest) {
     last = svc.Put(keys.back() + 1 + static_cast<Key>(i));
   }
   EXPECT_EQ(last, RequestStatus::kStoreFull);
+}
+
+// CPUs this process may run on (its affinity mask).
+size_t UsableCpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
+  return static_cast<size_t>(CPU_COUNT(&set));
+}
+
+// Shards (or lanes) that still leave the process fewer workers than
+// usable CPUs, so the hand-off tests exercise the spin where the machine
+// allows it: between 1 and `most`.
+size_t SpinningWorkers(size_t most) {
+  return std::clamp<size_t>(UsableCpus() - 1, 1, most);
+}
+
+// CPU time consumed by every thread of this process so far.
+uint64_t ProcessCpuNanos() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<uint64_t>(ts.tv_sec) * 1'000'000'000ULL +
+         static_cast<uint64_t>(ts.tv_nsec);
+}
+
+TEST(ServiceHandoff, IdleWorkersPark) {
+  // An idle worker spins for at most Shard::kSpinWindowNs, then parks on
+  // its condvar. After a burst and a pause well past the window, the
+  // whole process must stay under 5% of one core; an unbounded spin
+  // burns a full core per spinner.
+  std::vector<Key> keys = MakeUniformKeys(4096, 31);
+  KvService svc("BTree", SmallConfig(SpinningWorkers(4)), keys);
+  ASSERT_TRUE(svc.BulkLoad(keys));
+  svc.Start();
+  std::vector<Request> batch;
+  for (size_t i = 0; i < 4000; ++i) {
+    Request req;
+    req.type = i % 4 == 0 ? OpType::kUpdate : OpType::kRead;
+    req.key = keys[(i * 7) % keys.size()];
+    batch.push_back(std::move(req));
+  }
+  svc.SubmitBatch(std::move(batch));
+  svc.Drain();
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const uint64_t cpu_before = ProcessCpuNanos();
+  const uint64_t wall_before = NowNanos();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const uint64_t cpu_used = ProcessCpuNanos() - cpu_before;
+  const uint64_t wall = NowNanos() - wall_before;
+  EXPECT_LE(cpu_used, wall / 20)
+      << "idle process used " << cpu_used << " ns CPU in " << wall
+      << " ns: a worker is still spinning";
+  EXPECT_EQ(svc.Stats().total_ops(), 4000u);
+}
+
+// Four producers, each owning a disjoint slice of `keys` plus fresh keys
+// of its own, submit reads, updates and inserts one at a time with pauses
+// drawn from {0, 10, 60, 200} us: the short ones land inside a worker's
+// spin window, the long ones outlast it, so lanes cross spin -> park
+// thousands of times. Every completion must fire exactly once with kOk,
+// every read must return the producer's ordered-map oracle value (per-key
+// FIFO makes that value exact), and Drain() must return.
+void RunSpinParkProducers(KvService* svc, const std::vector<Key>& keys) {
+  constexpr size_t kProducers = 4;
+  constexpr size_t kOpsPerProducer = 1500;
+  constexpr uint64_t kPausesUs[] = {0, 10, 60, 200};
+  const size_t vsize = svc->value_size();
+  struct Op {
+    bool is_read = false;
+    std::vector<uint8_t> value;     // write payload
+    std::vector<uint8_t> out;       // read destination
+    std::vector<uint8_t> expected;  // oracle value for a read
+    std::atomic<int> fired{0};
+    std::atomic<RequestStatus> status{RequestStatus::kOk};
+  };
+  std::vector<std::vector<std::unique_ptr<Op>>> ops(kProducers);
+  // A lost wake-up strands a request in a lane nobody watches: producers
+  // then block on a full queue or Drain() never returns. The watchdog
+  // turns that hang into a prompt, named failure.
+  std::atomic<bool> drained{false};
+  std::thread watchdog([&drained] {
+    const uint64_t deadline = NowNanos() + 60'000'000'000ULL;
+    while (!drained.load()) {
+      if (NowNanos() > deadline) {
+        std::fprintf(stderr, "lost wake-up: producers or Drain() stuck\n");
+        std::abort();
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  });
+  std::vector<std::thread> producers;
+  for (size_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      Rng rng(4000 + p);
+      std::map<Key, std::vector<uint8_t>> oracle;
+      std::vector<Key> owned;
+      for (size_t j = p; j < keys.size(); j += kProducers) {
+        owned.push_back(keys[j]);
+      }
+      size_t next_fresh = 0;  // index into owned; keys[j] + 1 is fresh
+      std::vector<Key> inserted;
+      for (size_t i = 0; i < kOpsPerProducer; ++i) {
+        auto op = std::make_unique<Op>();
+        Request req;
+        const uint64_t dice = rng.NextUnder(10);
+        Key key = owned[rng.NextUnder(owned.size())];
+        if (dice < 3 && next_fresh < owned.size()) {
+          key = owned[next_fresh++] + 1;
+          if (std::binary_search(keys.begin(), keys.end(), key)) continue;
+          req.type = OpType::kInsert;
+          inserted.push_back(key);
+        } else if (dice < 6) {
+          req.type = OpType::kUpdate;
+        } else {
+          req.type = OpType::kRead;
+          if (dice == 9 && !inserted.empty()) {
+            key = inserted[rng.NextUnder(inserted.size())];
+          }
+        }
+        req.key = key;
+        if (req.type == OpType::kRead) {
+          op->is_read = true;
+          auto it = oracle.find(key);
+          if (it == oracle.end()) {
+            op->expected.resize(vsize);
+            ViperStore::FillSyntheticValue(key, op->expected.data(), vsize);
+          } else {
+            op->expected = it->second;
+          }
+          op->out.assign(vsize, 0);
+          req.out = op->out.data();
+        } else {
+          op->value.assign(vsize, 0);
+          const uint64_t tag = (uint64_t{p} << 32) | i;
+          std::memcpy(op->value.data(), &tag, sizeof(tag));
+          std::memcpy(op->value.data() + sizeof(tag), &key, sizeof(key));
+          oracle[key] = op->value;
+          req.value = op->value.data();
+        }
+        Op* raw = op.get();
+        req.done = [raw](RequestStatus st) {
+          raw->status.store(st);
+          raw->fired.fetch_add(1);
+        };
+        ops[p].push_back(std::move(op));
+        svc->Submit(std::move(req));
+
+        const uint64_t pause_us = kPausesUs[rng.NextUnder(4)];
+        if (pause_us >= 50) {
+          std::this_thread::sleep_for(std::chrono::microseconds(pause_us));
+        } else {
+          // Sleeping would overshoot into the park regime: busy-wait.
+          const uint64_t until = NowNanos() + pause_us * 1000;
+          while (NowNanos() < until) {
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : producers) t.join();
+  svc->Drain();
+  drained.store(true);
+  watchdog.join();
+
+  size_t reads = 0;
+  for (size_t p = 0; p < kProducers; ++p) {
+    for (const auto& op : ops[p]) {
+      ASSERT_EQ(op->fired.load(), 1);
+      ASSERT_EQ(op->status.load(), RequestStatus::kOk);
+      if (!op->is_read) continue;
+      ++reads;
+      ASSERT_EQ(op->out, op->expected);
+    }
+  }
+  EXPECT_GT(reads, kProducers * kOpsPerProducer / 4);
+}
+
+TEST(ServiceHandoff, NoLostWakeupAcrossSpinAndPark) {
+  // Both services stay under one worker per usable CPU, so their idle
+  // workers spin (on a machine with more than one CPU).
+  std::vector<Key> keys = MakeUniformKeys(8192, 33);
+  {
+    // Single-lane shards.
+    KvService svc("BTree", SmallConfig(SpinningWorkers(3)), keys);
+    ASSERT_TRUE(svc.BulkLoad(keys));
+    svc.Start();
+    RunSpinParkProducers(&svc, keys);
+  }
+  ServiceConfig cfg = SmallConfig(1);
+  cfg.writers_per_shard = std::max<size_t>(2, SpinningWorkers(4));
+  KvService svc("ALEX", cfg, keys);
+  ASSERT_TRUE(svc.BulkLoad(keys));
+  ASSERT_EQ(svc.Stats().shards[0].writers, cfg.writers_per_shard);
+  svc.Start();
+  RunSpinParkProducers(&svc, keys);
+}
+
+TEST(ServiceHandoff, OversubscribedWorkersParkAtOnce) {
+  // A spinner is useful only while its producer runs on another CPU, so
+  // once the process has a started worker per usable CPU every worker
+  // parks at once, and spinning resumes when workers are joined. One
+  // ALEX shard with a writer lane per CPU reaches the limit with a single
+  // store however many CPUs the machine has.
+  const size_t cpus = UsableCpus();
+  std::vector<Key> keys = MakeUniformKeys(4096, 37);
+  auto config = [](size_t workers) {
+    ServiceConfig cfg = SmallConfig(1);
+    cfg.writers_per_shard = workers;
+    return cfg;
+  };
+  EXPECT_TRUE(Shard::SpinsWhenIdle());  // no workers yet
+  {
+    KvService svc("ALEX", config(cpus), keys);
+    ASSERT_TRUE(svc.BulkLoad(keys));
+    EXPECT_TRUE(Shard::SpinsWhenIdle());  // built, not started
+    svc.Start();
+    EXPECT_FALSE(Shard::SpinsWhenIdle());
+    // The parked workers still serve every request.
+    std::atomic<size_t> completed{0};
+    for (size_t i = 0; i < 200; ++i) {
+      Request req;
+      req.type = OpType::kRead;
+      req.key = keys[(i * 13) % keys.size()];
+      req.done = [&completed](RequestStatus st) {
+        EXPECT_EQ(st, RequestStatus::kOk);
+        completed.fetch_add(1);
+      };
+      svc.Submit(std::move(req));
+    }
+    svc.Drain();
+    EXPECT_EQ(completed.load(), 200u);
+    // Crash recovery joins and restarts the same workers.
+    svc.CrashAndRecover();
+    EXPECT_FALSE(Shard::SpinsWhenIdle());
+  }
+  EXPECT_TRUE(Shard::SpinsWhenIdle());  // all joined
+  if (cpus > 1) {
+    KvService svc("ALEX", config(cpus - 1), keys);
+    ASSERT_TRUE(svc.BulkLoad(keys));
+    svc.Start();
+    EXPECT_TRUE(Shard::SpinsWhenIdle());
+  }
 }
 
 }  // namespace

@@ -11,7 +11,11 @@ name, labels); for each matched pair, every throughput-like metric is
 compared and a drop larger than --threshold (default 15%) is flagged.
 
 Throughput metrics are those where higher is better: qps / ops-per-second
-style counters. p99 metrics also gate: an increase beyond
+style counters. Spread metrics (`*_stddev`, `*_min`, `*_max`, `*_cv`)
+describe how a value varies across workers or shards, not how fast the
+system is, so they never gate even when their name contains a throughput
+marker (a drop in `shard_qps_stddev` is good news). p99 metrics also
+gate: an increase beyond
 --latency-threshold (default 25%) is flagged as a regression — p99 at
 smoke scale is noisy, hence the wider margin, but a tail that blows past
 it is a real stall, not noise (set --latency-threshold 0 to disable).
@@ -40,10 +44,17 @@ THROUGHPUT_EXCLUDE = ("offered", "target")
 
 LATENCY_MARKERS = ("ns", "p50", "p99", "p999", "latency")
 
+# Suffixes of spread metrics: never gated, whatever else the name says.
+SPREAD_SUFFIXES = ("_stddev", "_min", "_max", "_cv")
+
+
+def is_spread(key: str) -> bool:
+    return key.lower().endswith(SPREAD_SUFFIXES)
+
 
 def is_throughput(key: str) -> bool:
     low = key.lower()
-    if any(marker in low for marker in THROUGHPUT_EXCLUDE):
+    if is_spread(low) or any(marker in low for marker in THROUGHPUT_EXCLUDE):
         return False
     return any(marker in low for marker in THROUGHPUT_MARKERS)
 
@@ -54,9 +65,9 @@ def is_latency(key: str) -> bool:
 
 
 def is_gating_latency(key: str) -> bool:
-    """p99 gates; p999 (too noisy at smoke scale) and p50 do not."""
+    """p99 gates; p999 (too noisy at smoke scale), p50 and spread do not."""
     low = key.lower()
-    return "p99" in low and "p999" not in low
+    return "p99" in low and "p999" not in low and not is_spread(low)
 
 
 def add_row(rows, path, line_no, experiment, obj):
