@@ -1,6 +1,6 @@
 // On-media record layout shared by every storage backend. A record is
 // [key | value | RecordHeader]; the header (monotonic store-wide seqno +
-// CRC32C over key+value + trailing commit magic) is made durable *after*
+// CRC32C over key+value+seqno + trailing commit magic) is made durable *after*
 // the payload, so a record counts as committed only when its header
 // validates. The magic sits last so a torn header flush can never
 // validate: the durable prefix of a torn 16-byte header always ends
@@ -26,12 +26,20 @@ namespace pieces {
 // Per-record commit metadata, durable after the payload.
 struct RecordHeader {
   uint64_t seqno = 0;  // Monotonic, 0 = never committed.
-  uint32_t crc = 0;    // CRC32C over the record's key+value bytes.
+  uint32_t crc = 0;    // CRC32C over key+value, then the seqno's 8 bytes.
   uint32_t magic = 0;  // kRecordCommitMagic when committed.
 };
 static_assert(sizeof(RecordHeader) == 16);
 
 inline constexpr uint32_t kRecordCommitMagic = 0x50435631u;  // "1VCP"
+
+// The commit CRC: the payload chained with the seqno, so a flipped seqno
+// bit cannot let a stale version win LatestPerKey at recovery.
+inline uint32_t RecordCrc(const uint8_t* payload, size_t payload_bytes,
+                          uint64_t seqno) {
+  return Crc32c(reinterpret_cast<const uint8_t*>(&seqno), sizeof(seqno),
+                Crc32c(payload, payload_bytes));
+}
 
 // The commit header for a record whose first `payload_bytes` hold
 // key+value; persisted after the payload, it makes the record count.
@@ -39,7 +47,7 @@ inline RecordHeader SealRecord(const uint8_t* payload, size_t payload_bytes,
                                uint64_t seqno) {
   RecordHeader header;
   header.seqno = seqno;
-  header.crc = Crc32c(payload, payload_bytes);
+  header.crc = RecordCrc(payload, payload_bytes, seqno);
   header.magic = kRecordCommitMagic;
   return header;
 }
@@ -54,13 +62,16 @@ struct RecoveredRecord {
 // True iff the record image [key | value | RecordHeader] is committed;
 // then fills out->key and out->seqno. Zeroed (never written or
 // crash-discarded) slots fail the magic check, torn headers cannot
-// complete the trailing magic, and torn payloads fail the CRC.
+// complete the trailing magic, and torn payloads or a corrupted seqno fail
+// the CRC.
 inline bool ValidateRecord(const uint8_t* record, size_t payload_bytes,
                            RecoveredRecord* out) {
   RecordHeader header;
   std::memcpy(&header, record + payload_bytes, sizeof(RecordHeader));
   if (header.magic != kRecordCommitMagic || header.seqno == 0) return false;
-  if (Crc32c(record, payload_bytes) != header.crc) return false;
+  if (RecordCrc(record, payload_bytes, header.seqno) != header.crc) {
+    return false;
+  }
   std::memcpy(&out->key, record, sizeof(Key));
   out->seqno = header.seqno;
   return true;
