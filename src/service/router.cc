@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <iterator>
 #include <utility>
 
@@ -173,24 +174,45 @@ std::shared_ptr<Shard> KvService::WrapStore(
 
 bool KvService::BulkLoad(const std::vector<Key>& sorted_keys) {
   Snapshot* snap = snapshot_.load(std::memory_order_acquire);
-  for (size_t s = 0; s < snap->shards.size(); ++s) {
+  const size_t n = snap->shards.size();
+  // Shards load in parallel, joined like CrashAndRecover: each load
+  // touches only its own store, index and replica. The calling thread
+  // loads shard 0, so a one-shard service stays on it (and its allocator
+  // arena). A throwing load (a simulated power cut) is forwarded to the
+  // caller after the join.
+  struct Outcome {
+    bool ok = false;
+    std::exception_ptr error;
+  };
+  std::vector<Outcome> outcomes(n);
+  auto load = [&](size_t s) {
     auto begin = std::lower_bound(sorted_keys.begin(), sorted_keys.end(),
                                   snap->partition.LowerBound(s));
-    auto end = s + 1 < snap->shards.size()
-                   ? std::lower_bound(begin, sorted_keys.end(),
-                                      snap->partition.LowerBound(s + 1))
-                   : sorted_keys.end();
-    std::vector<Key> part(begin, end);
+    auto end = s + 1 < n ? std::lower_bound(begin, sorted_keys.end(),
+                                            snap->partition.LowerBound(s + 1))
+                         : sorted_keys.end();
     Shard& shard = *snap->shards[s];
-    if (!shard.store()->BulkLoad(part)) return false;
-    // Bulk loads bypass the commit log (see CommitTap); replicas seed
-    // directly from the quiesced primary image instead.
-    if (shard.replication() != nullptr &&
-        !shard.replication()->SeedFromPrimary(*shard.store())) {
-      return false;
+    try {
+      if (!shard.store()->BulkLoad(std::vector<Key>(begin, end))) return;
+      // Bulk loads bypass the commit log (see CommitTap); replicas seed
+      // directly from the quiesced primary image instead.
+      outcomes[s].ok = shard.replication() == nullptr ||
+                       shard.replication()->SeedFromPrimary(*shard.store());
+    } catch (...) {
+      outcomes[s].error = std::current_exception();
     }
+  };
+  std::vector<std::thread> workers;
+  workers.reserve(n);
+  for (size_t s = 1; s < n; ++s) workers.emplace_back(load, s);
+  load(0);
+  for (std::thread& w : workers) w.join();
+  bool ok = true;
+  for (const Outcome& out : outcomes) {
+    if (out.error) std::rethrow_exception(out.error);
+    ok = ok && out.ok;
   }
-  return true;
+  return ok;
 }
 
 void KvService::Start() {

@@ -183,7 +183,8 @@ class KvService {
   KvService(const KvService&) = delete;
   KvService& operator=(const KvService&) = delete;
 
-  // Splits `sorted_keys` by shard range and bulk-loads each shard.
+  // Splits `sorted_keys` by shard range and bulk-loads the shards (and
+  // seeds their replicas) in parallel, shard 0 on the calling thread.
   // Call before Start. Returns false if any shard's load fails.
   bool BulkLoad(const std::vector<Key>& sorted_keys);
 

@@ -117,14 +117,18 @@ bool DiskStore::BulkLoad(const std::vector<Key>& keys,
   std::lock_guard<std::mutex> lock(write_mu_);
   std::vector<KeyValue> entries;
   entries.reserve(keys.size());
-  // Batched durability, one fsync barrier per filled page: the frame stays
-  // pinned while its slots fill and is flushed once when it closes — the
-  // on-disk analogue of ViperStore's one-persist-per-page-span bulk load.
+  // One durability point per load: the frame stays pinned while its slots
+  // fill and is written back without a barrier when it closes; one
+  // fdatasync after the last page makes the load durable before the index
+  // is built and the load acknowledged. A crash before that keeps a
+  // page-order prefix of the load (a torn boundary record fails its CRC);
+  // nothing unacked was promised. ViperStore keeps one persist per page
+  // span: its persist is a simulated flush, not a syscall.
   uint32_t pinned_page = PageStore::kInvalidPage;
   uint8_t* frame = nullptr;
   auto close_page = [&]() {
     if (pinned_page == PageStore::kInvalidPage) return;
-    pool_.FlushPage(pinned_page);
+    pool_.WriteBack(pinned_page);
     pool_.Unpin(pinned_page, /*dirty=*/false);
     pinned_page = PageStore::kInvalidPage;
   };
@@ -150,6 +154,7 @@ bool DiskStore::BulkLoad(const std::vector<Key>& keys,
     entries.push_back({key, PackHandle(page, slot)});
   }
   close_page();
+  pages_.Sync();
   index_->BulkLoad(entries);
   size_.store(keys.size(), std::memory_order_relaxed);
   return true;

@@ -11,10 +11,12 @@
 // verbatim (store/record_format.h): [key | value | RecordHeader] per
 // slot, payload flushed before header, header flushed before the index
 // swing, ack after — each "flush" here a page write-through + fsync
-// barrier instead of a persist fence. Recovery scans the file, trusts
-// only validating headers, and resolves duplicate keys by highest seqno;
-// it is exactly as good after a power cut (torn pages included) as after
-// a clean shutdown.
+// barrier instead of a persist fence. A bulk load is one durability
+// point: pages are written back as they fill and a single fdatasync
+// covers the whole load before it is acknowledged. Recovery scans the
+// file, trusts only validating headers, and resolves duplicate keys by
+// highest seqno; it is exactly as good after a power cut (torn pages
+// included) as after a clean shutdown.
 //
 // Batched reads group by page: GetBatch resolves handles through the
 // index's batch path, then sorts the hits by page id so a batch charges

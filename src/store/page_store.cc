@@ -11,7 +11,7 @@
 namespace pieces {
 
 PageStore::PageStore(std::string path, const Options& opts)
-    : opts_(opts), path_(std::move(path)) {
+    : opts_(opts), path_(std::move(path)), zero_page_(opts.page_size, 0) {
   fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
   if (fd_ < 0) {
     error_ = "PageStore: cannot open '" + path_ +
@@ -37,6 +37,7 @@ uint32_t PageStore::AllocatePage() {
     return kInvalidPage;
   }
   num_pages_.store(n + 1, std::memory_order_relaxed);
+  written_.push_back(false);
   return static_cast<uint32_t>(n);
 }
 
@@ -71,16 +72,22 @@ void PageStore::WritePage(uint32_t page, const uint8_t* data) {
   std::lock_guard<std::mutex> lock(mu_);
   // First write to this page since the last barrier: capture its durable
   // image (the file content is durable here — everything pending is in
-  // shadow_ already, and this page is not).
+  // shadow_ already, and this page is not). A never-written page's image
+  // is all zeros; record the empty marker instead of copying it.
   if (shadow_.find(page) == shadow_.end()) {
-    std::vector<uint8_t> durable(opts_.page_size);
-    const off_t off = static_cast<off_t>(page) *
-                      static_cast<off_t>(opts_.page_size);
-    ssize_t got = ::pread(fd_, durable.data(), opts_.page_size, off);
-    if (got < 0) got = 0;
-    if (static_cast<size_t>(got) < opts_.page_size) {
-      std::memset(durable.data() + got, 0,
-                  opts_.page_size - static_cast<size_t>(got));
+    std::vector<uint8_t> durable;
+    if (page >= written_.size() || written_[page]) {
+      durable.resize(opts_.page_size);
+      const off_t off = static_cast<off_t>(page) *
+                        static_cast<off_t>(opts_.page_size);
+      ssize_t got = ::pread(fd_, durable.data(), opts_.page_size, off);
+      if (got < 0) got = 0;
+      if (static_cast<size_t>(got) < opts_.page_size) {
+        std::memset(durable.data() + got, 0,
+                    opts_.page_size - static_cast<size_t>(got));
+      }
+    } else {
+      written_[page] = true;
     }
     shadow_.emplace(page, std::move(durable));
     pending_order_.push_back(page);
@@ -99,7 +106,7 @@ void PageStore::FailAfterSyncs(uint64_t n, int64_t tear_bytes) {
 void PageStore::RestorePendingLocked() {
   for (uint32_t page : pending_order_) {
     auto it = shadow_.find(page);
-    if (it != shadow_.end()) PwriteOrDie(page, it->second.data());
+    if (it != shadow_.end()) PwriteOrDie(page, DurableImage(it->second));
   }
   pending_order_.clear();
   shadow_.clear();
@@ -133,12 +140,13 @@ void PageStore::Sync() {
           std::memset(merged.data() + got, 0,
                       opts_.page_size - static_cast<size_t>(got));
         }
-        std::memcpy(merged.data() + budget, it->second.data() + budget,
+        std::memcpy(merged.data() + budget,
+                    DurableImage(it->second) + budget,
                     opts_.page_size - static_cast<size_t>(budget));
         PwriteOrDie(page, merged.data());
         budget = 0;
       } else {
-        PwriteOrDie(page, it->second.data());
+        PwriteOrDie(page, DurableImage(it->second));
       }
     }
     pending_order_.clear();

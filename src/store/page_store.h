@@ -9,7 +9,11 @@
 //  * every page dirtied since the last barrier keeps a shadow of its
 //    durable (pre-write) image; Crash() rolls those pages back, dropping
 //    written-but-unsynced bytes exactly the way a power failure drops the
-//    contents of the OS page cache;
+//    contents of the OS page cache. A page no write has ever reached has
+//    an all-zero durable image (the file is truncated on open and
+//    extended with zeros), so its shadow is a zero marker, not a 4 KiB
+//    copy: a bulk load pending under one barrier holds no copy of the
+//    pages it fills;
 //  * FailAfterSyncs(n, tear_bytes) arms the Nth barrier to fail
 //    *mid-flush*: pending page writes commit in first-write order until
 //    `tear_bytes` are consumed (a page may commit a strict prefix — a
@@ -129,6 +133,10 @@ class PageStore {
   }
   // Rolls every pending page back to its shadow. Caller holds mu_.
   void RestorePendingLocked();
+  // The bytes a shadow stands for: its copy, or zero_page_ when empty.
+  const uint8_t* DurableImage(const std::vector<uint8_t>& shadow) const {
+    return shadow.empty() ? zero_page_.data() : shadow.data();
+  }
   void PwriteOrDie(uint32_t page, const uint8_t* data);
 
   Options opts_;
@@ -140,9 +148,13 @@ class PageStore {
   // Guards the file and the unsynced-write tracking below.
   mutable std::mutex mu_;
   // Pages dirtied since the last barrier, in first-write order, each with
-  // the durable image it would roll back to.
+  // the durable image it would roll back to; an empty image stands for
+  // zero_page_ (the page had never been written).
   std::vector<uint32_t> pending_order_;
   std::unordered_map<uint32_t, std::vector<uint8_t>> shadow_;
+  // Per allocated page: whether any WritePage has ever reached it.
+  std::vector<bool> written_;
+  const std::vector<uint8_t> zero_page_;
 
   // Remaining barriers until the armed crash; <= 0 means disarmed.
   std::atomic<int64_t> syncs_until_crash_{0};

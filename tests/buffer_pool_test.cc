@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstring>
@@ -169,6 +170,98 @@ TEST(PageStoreTest, TornBarrierCommitsPagesInFirstWriteOrder) {
   store.ReadPage(b, probe.data());
   EXPECT_TRUE(std::memcmp(probe.data(), wb.data(), 64) == 0);
   EXPECT_EQ(probe[64], 0);  // the rest rolled back to zeros
+}
+
+// A page no write has ever reached has an all-zero durable image; its
+// shadow is a zero marker rather than a copy, and a crash must still roll
+// it back to zeros — including after several writes in one epoch.
+TEST(PageStoreTest, FreshPageCrashRollsBackToZeros) {
+  PageStore store(TempPath("psfresh"), SmallOpts());
+  ASSERT_TRUE(store.ok());
+  uint32_t p = store.AllocatePage();
+  std::vector<uint8_t> first = Stamp(512, 0x12);
+  std::vector<uint8_t> second = Stamp(512, 0x34);
+  store.WritePage(p, first.data());
+  store.WritePage(p, second.data());
+  store.Crash();
+  store.ClearCrash();
+  std::vector<uint8_t> probe(512, 0xff);
+  store.ReadPage(p, probe.data());
+  EXPECT_EQ(probe, std::vector<uint8_t>(512, 0));
+  // Rolled back to zeros, then written and synced: durable as usual.
+  store.WritePage(p, first.data());
+  store.Sync();
+  store.Crash();
+  store.ClearCrash();
+  store.ReadPage(p, probe.data());
+  EXPECT_EQ(probe, first);
+}
+
+// A torn barrier over never-written pages commits exactly `tear` bytes of
+// the new content in first-write order; every byte after that is zero.
+TEST(PageStoreTest, TornSyncAcrossFreshPagesCommitsExactBudget) {
+  const size_t kPages = 3;
+  const size_t kPage = 512;
+  for (int64_t tear : {int64_t{0}, int64_t{1}, int64_t{300}, int64_t{511},
+                       int64_t{512}, int64_t{700}, int64_t{1536},
+                       int64_t{4096}}) {
+    PageStore store(TempPath("psfreshtear"), SmallOpts(kPage));
+    ASSERT_TRUE(store.ok());
+    std::vector<uint8_t> want;  // page-order image of the new content
+    for (size_t i = 0; i < kPages; ++i) {
+      uint32_t p = store.AllocatePage();
+      std::vector<uint8_t> data = Stamp(kPage, static_cast<uint8_t>(i + 1));
+      store.WritePage(p, data.data());
+      want.insert(want.end(), data.begin(), data.end());
+    }
+    const size_t keep = std::min<size_t>(static_cast<size_t>(tear),
+                                         want.size());
+    std::fill(want.begin() + static_cast<std::ptrdiff_t>(keep), want.end(),
+              0);
+    store.FailAfterSyncs(1, tear);
+    EXPECT_THROW(store.Sync(), SimulatedCrash);
+    store.ClearCrash();
+    std::vector<uint8_t> got(kPages * kPage);
+    for (uint32_t p = 0; p < kPages; ++p) {
+      store.ReadPage(p, got.data() + p * kPage);
+    }
+    EXPECT_EQ(got, want) << "tear=" << tear;
+  }
+}
+
+// A page that was synced and then rewritten still shadows a copy of its
+// synced image: a quiescent crash and a torn barrier both restore those
+// bytes, while a fresh page pending under the same barrier rolls back to
+// zeros.
+TEST(PageStoreTest, SyncedPageRewriteRollsBackToSyncedImage) {
+  for (int64_t tear : {PageStore::kNoTear, int64_t{100}}) {
+    PageStore store(TempPath("psrewrite"), SmallOpts());
+    ASSERT_TRUE(store.ok());
+    uint32_t synced = store.AllocatePage();
+    uint32_t fresh = store.AllocatePage();
+    std::vector<uint8_t> durable = Stamp(512, 0x5a);
+    store.WritePage(synced, durable.data());
+    store.Sync();
+    std::vector<uint8_t> next = Stamp(512, 0xa5);
+    store.WritePage(synced, next.data());
+    store.WritePage(fresh, next.data());
+    if (tear == PageStore::kNoTear) {
+      store.Crash();
+    } else {
+      store.FailAfterSyncs(1, tear);
+      EXPECT_THROW(store.Sync(), SimulatedCrash);
+    }
+    store.ClearCrash();
+    std::vector<uint8_t> want = durable;
+    if (tear != PageStore::kNoTear) {
+      std::copy(next.begin(), next.begin() + tear, want.begin());
+    }
+    std::vector<uint8_t> probe(512);
+    store.ReadPage(synced, probe.data());
+    EXPECT_EQ(probe, want) << "tear=" << tear;
+    store.ReadPage(fresh, probe.data());
+    EXPECT_EQ(probe, std::vector<uint8_t>(512, 0)) << "tear=" << tear;
+  }
 }
 
 TEST(BufferPoolTest, HitMissEvictionCounters) {

@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -201,6 +202,22 @@ TEST(DiskStoreRecoveryTest, QuiescentCrashKeepsAckedDropsNothingElse) {
   }
 }
 
+// An acknowledged bulk load is durable: its one barrier covers every
+// page, so a power cut right after BulkLoad returns loses nothing. (A put
+// after the load would issue barriers of its own and mask a lost one.)
+TEST(DiskStoreRecoveryTest, AcknowledgedBulkLoadSurvivesCrash) {
+  DiskStore store(MakeIndex("BTree"), SmallConfig("black", 8));
+  ASSERT_TRUE(store.ok());
+  std::vector<Key> keys = MakeUniformKeys(2000, 13);
+  ASSERT_TRUE(store.BulkLoad(keys));
+  ASSERT_GT(store.pages().num_pages(), 8u);
+  EXPECT_EQ(store.pages().syncs(), 1u);
+  store.Crash();
+  store.Recover();
+  EXPECT_EQ(store.size(), keys.size());
+  for (Key k : keys) ExpectSynthetic(store, k, "acked-load-after-crash");
+}
+
 // The crash-sweep property test: replay a put stream, arming a crash at
 // EVERY fsync barrier the stream crosses, for several torn-write budgets.
 // After recovery the store must contain exactly the bulk-loaded keys plus
@@ -288,52 +305,69 @@ TEST(DiskStoreCrashSweepTest, EveryFsyncBarrierEveryTear) {
   EXPECT_EQ(runs, stream_barriers * tears.size());
 }
 
-// BulkLoad crashes: arm every per-page flush barrier; the recovered store
-// must hold a prefix of whole records (CRC kills any torn one) and every
-// record it holds must read back exactly.
+// BulkLoad crashes: a load is ONE fsync barrier. Arm it untorn and with
+// tear budgets at every page boundary of the load plus offsets inside the
+// page. The torn barrier commits pending pages in first-write order, which
+// for a load into a fresh file is page order, so the durable bytes are a
+// prefix of the load's page-order byte stream. The recovered store must
+// hold exactly the records lying wholly inside that prefix, each
+// byte-correct, and nothing else (the CRC and the trailing magic reject
+// the boundary record).
 TEST(DiskStoreCrashSweepTest, BulkLoadBarriers) {
   std::vector<Key> keys = MakeUniformKeys(200, 31);
   std::sort(keys.begin(), keys.end());
-  uint64_t barriers = 0;
+  size_t pages = 0;
+  size_t page_size = 0;
+  size_t record = 0;
+  size_t slots = 0;
   {
     DiskStore store(MakeIndex("BTree"), SmallConfig("bldry", 8));
     ASSERT_TRUE(store.ok());
     ASSERT_TRUE(store.BulkLoad(keys));
-    barriers = store.pages().syncs();
+    EXPECT_EQ(store.pages().syncs(), 1u);
+    pages = store.pages().num_pages();
+    page_size = store.pages().page_size();
+    record = store.record_bytes();
+    slots = store.slots_per_page();
   }
-  ASSERT_GT(barriers, 2u);  // multiple pages => multiple barriers
-  for (uint64_t barrier = 1; barrier <= barriers; ++barrier) {
-    for (int64_t tear : {PageStore::kNoTear, int64_t{300}, int64_t{4096}}) {
-      DiskStore store(MakeIndex("BTree"), SmallConfig("blsweep", 8));
-      ASSERT_TRUE(store.ok());
-      store.mutable_pages().FailAfterSyncs(barrier, tear);
-      bool crashed = false;
-      try {
-        store.BulkLoad(keys);
-      } catch (const SimulatedCrash&) {
-        crashed = true;
-      }
-      ASSERT_TRUE(crashed);
-      store.Recover();
-      // The survivors are exactly a subset of the load; every present key
-      // reads back byte-correct, every key is either present or absent
-      // cleanly (Get never throws or misreads).
-      size_t present = 0;
-      std::vector<uint8_t> buf(store.value_size());
-      for (Key k : keys) {
-        if (store.Get(k, buf.data())) {
-          std::vector<uint8_t> want(store.value_size());
-          FillSyntheticRecordValue(k, want.data(), want.size());
-          ASSERT_EQ(buf, want) << "barrier=" << barrier;
-          ++present;
-        }
-      }
-      EXPECT_EQ(present, store.size());
-      // An untorn crashing barrier commits nothing from its page, so at
-      // least that page's records are lost. (A tear >= page_size can
-      // commit the whole page — at the final barrier that loses nothing.)
-      if (tear == PageStore::kNoTear) {
-        EXPECT_LT(present, keys.size());
+  ASSERT_EQ(pages, (keys.size() + slots - 1) / slots);
+  ASSERT_GT(pages, 8u);  // more pages than pool frames: evictions happen
+
+  std::vector<int64_t> tears = {PageStore::kNoTear};
+  for (size_t b = 0; b <= pages; ++b) {
+    for (size_t off : {size_t{0}, size_t{1}, record - 1, record,
+                       size_t{300}}) {
+      tears.push_back(static_cast<int64_t>(b * page_size + off));
+    }
+  }
+  for (int64_t tear : tears) {
+    const std::string ctx = "tear=" + std::to_string(tear);
+    DiskStore store(MakeIndex("BTree"), SmallConfig("blsweep", 8));
+    ASSERT_TRUE(store.ok());
+    store.mutable_pages().FailAfterSyncs(1, tear);
+    bool crashed = false;
+    try {
+      store.BulkLoad(keys);
+    } catch (const SimulatedCrash&) {
+      crashed = true;
+    }
+    ASSERT_TRUE(crashed) << ctx;
+    store.Recover();
+    // Record i sits at page i / slots, slot i % slots: it survives iff
+    // its last byte lies inside the durable prefix.
+    size_t durable = 0;
+    while (tear != PageStore::kNoTear && durable < keys.size() &&
+           (durable / slots) * page_size + (durable % slots + 1) * record <=
+               static_cast<size_t>(tear)) {
+      ++durable;
+    }
+    ASSERT_EQ(store.size(), durable) << ctx;
+    std::vector<uint8_t> buf(store.value_size());
+    for (size_t i = 0; i < keys.size(); ++i) {
+      if (i < durable) {
+        ExpectSynthetic(store, keys[i], ctx.c_str());
+      } else {
+        ASSERT_FALSE(store.Get(keys[i], buf.data())) << ctx << " i=" << i;
       }
     }
   }

@@ -190,6 +190,58 @@ INSTANTIATE_TEST_SUITE_P(
                       DivergenceCase{"ALEX", "disk"}),
     DivergenceName);
 
+// KvService::BulkLoad loads every shard and seeds its replica on a
+// thread of its own. Afterwards every key reads back byte-correct through
+// the service, and each replica holds exactly its primary's key range;
+// on the disk backend each replica's seed was a single barrier.
+class ServiceParallelBulkLoadTest
+    : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ServiceParallelBulkLoadTest, EveryShardAndReplicaReadsBack) {
+  const std::string backend = GetParam();
+  ServiceConfig cfg = BaseConfig(backend, ("pload_" + backend).c_str());
+  cfg.num_shards = 4;
+  const std::vector<Key> load = LoadKeys(4000);
+  KvService service("BTree", cfg, load);
+  ASSERT_EQ(service.num_shards(), 4u);
+  ASSERT_TRUE(service.BulkLoad(load));
+  EXPECT_EQ(service.TotalKeys(), load.size());
+  service.Start();
+
+  std::vector<uint8_t> got(kValueSize);
+  std::vector<uint8_t> want(kValueSize);
+  for (Key k : load) {
+    ASSERT_EQ(service.Get(k, got.data()), RequestStatus::kOk) << k;
+    FillSyntheticRecordValue(k, want.data(), want.size());
+    ASSERT_EQ(got, want) << "key " << k;
+  }
+  const RangePartition part = service.partition();
+  for (size_t s = 0; s < service.num_shards(); ++s) {
+    std::vector<Key> range;
+    for (Key k : load) {
+      if (part.ShardOf(k) == s) range.push_back(k);
+    }
+    EXPECT_FALSE(range.empty()) << "shard " << s;
+    auto session = service.replica_session(s);
+    ASSERT_NE(session, nullptr) << "shard " << s;
+    const StoreBackend* rstore = session->replica()->store();
+    ASSERT_NE(rstore, nullptr) << "shard " << s;
+    std::vector<Key> replica_keys;
+    rstore->Scan(0, rstore->size() + 1, &replica_keys);
+    EXPECT_EQ(replica_keys, range) << "shard " << s;
+    if (backend == "disk") {
+      EXPECT_EQ(rstore->IoStats().barriers, 1u) << "shard " << s;
+    }
+  }
+  service.Shutdown();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, ServiceParallelBulkLoadTest, ::testing::Values("viper", "disk"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
+
 // ---------------------------------------------------------------------------
 // Read-your-writes conformance through the router
 // ---------------------------------------------------------------------------
