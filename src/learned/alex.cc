@@ -288,12 +288,23 @@ Alex::Node* Alex::BuildSubtree(const KeyValue* data, size_t count) {
   size_t fanout = std::bit_ceil(std::max<size_t>(2, want));
   fanout = std::min(fanout, config_.max_fanout);
 
-  auto* inner = new InnerNode();
   std::vector<Key> keys(count);
   for (size_t i = 0; i < count; ++i) keys[i] = data[i].key;
-  inner->model = FitLeastSquares(keys.data(), count);
-  inner->model.Expand(static_cast<double>(fanout) /
-                      static_cast<double>(count));
+  LinearModel model = FitLeastSquares(keys.data(), count);
+  model.Expand(static_cast<double>(fanout) / static_cast<double>(count));
+  // Predictions are monotone in the key, so the range stays in one child
+  // iff its first and last key share one. That happens on clusters that
+  // are narrow next to their keys' magnitude (slope * key + intercept in
+  // double cannot tell them apart), and recursing would rebuild the same
+  // range forever. A data node takes such a range whole: its lookups
+  // search exponentially from the (equally flat) prediction.
+  if (model.PredictClamped(data[0].key, fanout) ==
+      model.PredictClamped(data[count - 1].key, fanout)) {
+    return BuildDataNode(data, count);
+  }
+
+  auto* inner = new InnerNode();
+  inner->model = model;
   inner->children.resize(fanout);
 
   size_t begin = 0;

@@ -71,8 +71,9 @@ bool Executed(RequestStatus st) {
          st == RequestStatus::kStoreFull;
 }
 
-// Mutex-striped latency sink. Completions run on whichever worker
-// executed the request; a stripe per thread-id hash keeps the mutex
+// Mutex-striped latency sink. Completions run on whichever thread
+// executed the request (a shard worker, or the client itself when its
+// request ran on an idle lane); a stripe per thread-id hash keeps the mutex
 // effectively uncontended without tying recorder identity to the (live,
 // split-mutable) shard layout.
 class StripedLatency {

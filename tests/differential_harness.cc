@@ -103,11 +103,10 @@ std::vector<KeyValue> OracleSnapshot(const Oracle& oracle) {
 
 // Executes the stream against a fresh index + oracle; returns the first
 // divergence, or nullopt when the index conforms on every op.
-std::optional<Failure> ExecuteIndexStream(const std::string& index_name,
+std::optional<Failure> ExecuteIndexStream(const IndexFactory& make,
                                           const std::vector<KeyValue>& load,
                                           const std::vector<DiffOp>& ops) {
-  std::unique_ptr<OrderedIndex> index = MakeIndex(index_name);
-  if (index == nullptr) return Failure{0, "unknown index: " + index_name};
+  std::unique_ptr<OrderedIndex> index = make();
   const bool can_insert = index->SupportsInsert();
   const bool can_scan = index->SupportsScan();
   Oracle oracle;
@@ -584,13 +583,21 @@ std::vector<DiffOp> GenerateDiffOps(const DiffConfig& cfg,
 
 DiffResult RunIndexDifferential(const std::string& index_name,
                                 const DiffConfig& cfg) {
-  DiffResult result;
-  std::unique_ptr<OrderedIndex> probe = MakeIndex(index_name);
-  if (probe == nullptr) {
+  if (MakeIndex(index_name) == nullptr) {
+    DiffResult result;
     result.ok = false;
     result.report = "unknown index: " + index_name;
     return result;
   }
+  return RunIndexDifferential(
+      index_name, [&index_name] { return MakeIndex(index_name); }, cfg);
+}
+
+DiffResult RunIndexDifferential(const std::string& label,
+                                const IndexFactory& make,
+                                const DiffConfig& cfg) {
+  DiffResult result;
+  std::unique_ptr<OrderedIndex> probe = make();
   DiffConfig effective = cfg;
   // Fold unsupported op shares into reads so the stream stays 100%.
   if (!probe->SupportsInsert()) {
@@ -609,7 +616,7 @@ DiffResult RunIndexDifferential(const std::string& index_name,
   std::vector<KeyValue> load = LoadData(load_keys, effective.seed);
   std::vector<DiffOp> ops = GenerateDiffOps(effective, load_keys, insert_pool);
 
-  std::optional<Failure> failure = ExecuteIndexStream(index_name, load, ops);
+  std::optional<Failure> failure = ExecuteIndexStream(make, load, ops);
   result.ops_executed = ops.size();
   if (!failure) return result;
 
@@ -619,11 +626,11 @@ DiffResult RunIndexDifferential(const std::string& index_name,
                         std::min(ops.size(), failure->op_index + 1)));
   std::vector<DiffOp> minimized =
       MinimizeOps(prefix, [&](const std::vector<DiffOp>& candidate) {
-        return ExecuteIndexStream(index_name, load, candidate).has_value();
+        return ExecuteIndexStream(make, load, candidate).has_value();
       });
   result.ok = false;
   result.report =
-      BuildReport("index", index_name, effective, *failure, ops, minimized);
+      BuildReport("index", label, effective, *failure, ops, minimized);
   return result;
 }
 

@@ -13,6 +13,8 @@
 #define PIECES_TESTS_DIFFERENTIAL_HARNESS_H_
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -80,6 +82,13 @@ void MakeDiffKeys(const DiffConfig& cfg, std::vector<Key>* load,
 
 // Runs `index_name` (any AllIndexNames() entry) against the oracle.
 DiffResult RunIndexDifferential(const std::string& index_name,
+                                const DiffConfig& cfg);
+
+// Same, over indexes built by `make` (e.g. a non-default configuration);
+// `label` names them in the failure report.
+using IndexFactory = std::function<std::unique_ptr<OrderedIndex>()>;
+DiffResult RunIndexDifferential(const std::string& label,
+                                const IndexFactory& make,
                                 const DiffConfig& cfg);
 
 // Runs the same stream end-to-end through a ViperStore built on

@@ -3,12 +3,15 @@
 // interleaved ops per index. A failure prints the seed, index name and a
 // delta-minimized op prefix; rerun one seed with PIECES_DIFF_SEED=<n>.
 #include <cstdlib>
+#include <memory>
 #include <string>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "differential_harness.h"
 #include "index/registry.h"
+#include "learned/alex.h"
 
 namespace pieces {
 namespace {
@@ -101,6 +104,40 @@ INSTANTIATE_TEST_SUITE_P(AllIndexes, IndexDifferentialTest,
                            }
                            return name;
                          });
+
+// ALEX bulk-loaded with a small leaf target (see AlexSmallLeafConformance
+// in index_conformance_test.cc): on OSM-like keys the load turns
+// clusters the inner models cannot split into whole data nodes, and the
+// stream's inserts, scans and recoveries then run over them.
+class AlexSmallLeafDifferential
+    : public ::testing::TestWithParam<std::tuple<std::string, size_t>> {};
+
+TEST_P(AlexSmallLeafDifferential, MixedStreamWithRecovery) {
+  DiffConfig cfg;
+  cfg.seed = BaseSeed() + 7;
+  cfg.dataset = std::get<0>(GetParam());
+  cfg.load_keys = 100000;
+  cfg.ops = 30000;
+  cfg.recover_every = 10000;
+  Alex::Config config;
+  config.target_leaf_keys = std::get<1>(GetParam());
+  DiffResult res = RunIndexDifferential(
+      "ALEX(target_leaf_keys=" + std::to_string(config.target_leaf_keys) +
+          ")",
+      [config] { return std::make_unique<Alex>(config); }, cfg);
+  EXPECT_TRUE(res.ok) << res.report;
+  EXPECT_GE(res.ops_executed, cfg.ops);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Datasets, AlexSmallLeafDifferential,
+    ::testing::Combine(::testing::Values("osm", "face"),
+                       ::testing::Values(size_t{128}, size_t{256})),
+    [](const ::testing::TestParamInfo<std::tuple<std::string, size_t>>&
+           info) {
+      return std::get<0>(info.param) + "_leaf" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 class StoreDifferentialTest : public ::testing::TestWithParam<std::string> {};
 

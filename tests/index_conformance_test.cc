@@ -14,6 +14,7 @@
 #include "common/random.h"
 #include "index/ordered_index.h"
 #include "index/registry.h"
+#include "learned/alex.h"
 #include "store/viper.h"
 #include "workload/datasets.h"
 #include "workload/ycsb.h"
@@ -392,6 +393,81 @@ INSTANTIATE_TEST_SUITE_P(
         if (c == '-') c = '_';
       }
       return name;
+    });
+
+// ALEX with a small bulk-load leaf target on clustered keys. OSM-like
+// cell ids put hundreds of keys within a few thousand of each other near
+// 2^62, where an inner model's double-precision predictions cannot tell
+// them apart; a bulk load must still terminate (not recurse on the same
+// range), serve every key, take inserts, and survive the rebuild crash
+// recovery performs. FACE-like keys are the skewed case without such
+// clusters.
+using SmallLeafParam = std::tuple<std::string, size_t>;
+
+class AlexSmallLeafConformance
+    : public ::testing::TestWithParam<SmallLeafParam> {};
+
+TEST_P(AlexSmallLeafConformance, BulkLoadInsertScanRecover) {
+  constexpr size_t kKeys = 100000;
+  constexpr Value kTag = 0x5a5a5a5a5a5a5a5aull;
+  Alex::Config config;
+  config.target_leaf_keys = std::get<1>(GetParam());
+  Alex alex(config);
+  std::vector<Key> keys = MakeKeys(std::get<0>(GetParam()), kKeys, 17);
+  // Every 8th key is held out of the load and inserted afterwards.
+  std::vector<KeyValue> load;
+  std::vector<Key> held;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (i % 8 == 7) {
+      held.push_back(keys[i]);
+    } else {
+      load.push_back({keys[i], keys[i] ^ kTag});
+    }
+  }
+  alex.BulkLoad(load);
+  for (const KeyValue& kv : load) {
+    Value v = 0;
+    ASSERT_TRUE(alex.Get(kv.key, &v)) << "loaded key " << kv.key;
+    ASSERT_EQ(v, kv.value);
+  }
+  for (Key k : held) {
+    Value v = 0;
+    ASSERT_FALSE(alex.Get(k, &v)) << "held-out key " << k;
+  }
+  for (Key k : held) ASSERT_TRUE(alex.Insert(k, k ^ kTag));
+
+  Rng rng(31);
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t begin = rng.NextUnder(keys.size());
+    const size_t want = 1 + rng.NextUnder(300);
+    std::vector<KeyValue> got;
+    ASSERT_EQ(alex.Scan(keys[begin], want, &got),
+              std::min(want, keys.size() - begin));
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].key, keys[begin + i]);
+      ASSERT_EQ(got[i].value, keys[begin + i] ^ kTag);
+    }
+  }
+
+  // Recovery rebuilds from every key, inserted ones included.
+  std::vector<KeyValue> all;
+  all.reserve(keys.size());
+  for (Key k : keys) all.push_back({k, k ^ kTag});
+  alex.BulkLoad(all);
+  for (const KeyValue& kv : all) {
+    Value v = 0;
+    ASSERT_TRUE(alex.Get(kv.key, &v)) << "rebuilt key " << kv.key;
+    ASSERT_EQ(v, kv.value);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Datasets, AlexSmallLeafConformance,
+    ::testing::Combine(::testing::Values("osm", "face"),
+                       ::testing::Values(size_t{128}, size_t{256})),
+    [](const ::testing::TestParamInfo<SmallLeafParam>& info) {
+      return std::get<0>(info.param) + "_leaf" +
+             std::to_string(std::get<1>(info.param));
     });
 
 }  // namespace
