@@ -22,9 +22,10 @@
 // against request execution (see DESIGN.md "Replication & failover").
 //
 // Semi-sync acks (AckMode::kReplicated): the shard worker awaits
-// AwaitReplicated() after a locally durable write; kOk then means "on the
-// replica too", and a dead/stalled link degrades the write to kRetry
-// instead of blocking forever.
+// AwaitReplicated() after a locally durable write (such writes always
+// queue to the worker, never run on the submitting thread); kOk then
+// means "on the replica too", and a dead/stalled link degrades the write
+// to kRetry instead of blocking forever.
 #ifndef PIECES_REPLICATION_REPLICA_SESSION_H_
 #define PIECES_REPLICATION_REPLICA_SESSION_H_
 

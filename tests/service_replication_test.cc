@@ -10,9 +10,11 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <random>
 #include <string>
 #include <thread>
@@ -421,6 +423,59 @@ TEST(ServiceFailover, ReplicatedAcksMakeCrashFailoverLossless) {
         << "acked write lost by crash failover, key " << key;
     EXPECT_EQ(std::memcmp(out.data(), want.data(), kValueSize), 0);
   }
+  service.Shutdown();
+}
+
+// Under kReplicated a write's ack waits for the replica, so the write
+// queues to its lane's worker even when the lane is idle: the wait never
+// stalls the submitting client. A read still runs on the client.
+TEST(ServiceReplicaAcks, SemiSyncWritesAwaitTheAckOnTheWorker) {
+  ServiceConfig cfg = BaseConfig("viper", "ack_worker");
+  cfg.replication.ack = ReplicationConfig::AckMode::kReplicated;
+  const std::vector<Key> load = LoadKeys(128);
+  KvService service("BTree", cfg, load);
+  ASSERT_TRUE(service.BulkLoad(load));
+  service.Start();
+
+  const std::thread::id self = std::this_thread::get_id();
+  std::vector<uint8_t> value = TaggedValue(7);
+  std::vector<uint8_t> out(kValueSize);
+  for (OpType type : {OpType::kUpdate, OpType::kRead}) {
+    std::mutex m;
+    std::condition_variable cv;
+    bool fired = false;
+    RequestStatus status = RequestStatus::kShutdown;
+    std::thread::id ran;
+    Request req;
+    req.type = type;
+    req.key = load[0];
+    if (type == OpType::kUpdate) {
+      req.value = value.data();
+    } else {
+      req.out = out.data();
+    }
+    req.done = [&](RequestStatus st) {
+      std::lock_guard<std::mutex> lock(m);
+      status = st;
+      ran = std::this_thread::get_id();
+      fired = true;
+      cv.notify_one();
+    };
+    service.Submit(std::move(req));
+    {
+      std::unique_lock<std::mutex> lock(m);
+      cv.wait(lock, [&] { return fired; });
+    }
+    // The worker releases the lane after the completion fires.
+    service.Drain();
+    EXPECT_EQ(status, RequestStatus::kOk);
+    if (type == OpType::kUpdate) {
+      EXPECT_NE(ran, self) << "semi-sync write awaited its ack on the client";
+    } else {
+      EXPECT_EQ(ran, self);
+    }
+  }
+  EXPECT_EQ(std::memcmp(out.data(), value.data(), kValueSize), 0);
   service.Shutdown();
 }
 
