@@ -118,7 +118,6 @@ class BufferPool {
   void Reset();
 
   const IoEngine& engine() const { return *engine_; }
-  size_t frames() const { return frames_.size(); }
   uint64_t hits() const { return hits_.load(); }
   uint64_t misses() const { return misses_.load(); }
   uint64_t evictions() const { return evictions_.load(); }

@@ -22,12 +22,8 @@ CrashController::~CrashController() { std::free(durable_); }
 
 void CrashController::FailAfterPersists(uint64_t n, int64_t tear_bytes) {
   tear_bytes_ = tear_bytes;
-  persists_until_crash_.store(n == 0 ? 1 : static_cast<int64_t>(n),
+  persists_until_crash_.store(static_cast<int64_t>(n),
                               std::memory_order_relaxed);
-}
-
-void CrashController::Disarm() {
-  persists_until_crash_.store(0, std::memory_order_relaxed);
 }
 
 void CrashController::Persisted(uint8_t* arena, size_t offset, size_t bytes,

@@ -47,13 +47,12 @@ class CrashController {
   // ---- Test-facing programming interface ----------------------------
 
   // Arms a deterministic crash point: the Nth subsequent persist barrier
-  // (n >= 1) fails. With tear_bytes == kNoTear the barrier commits
-  // nothing; with tear_bytes >= 0, exactly min(tear_bytes, granule) bytes
-  // of the in-flight granule become durable before the crash — a torn
-  // write. Arming replaces any previously armed point.
+  // (n >= 1; 0 disarms, as PageStore::FailAfterSyncs) fails. With
+  // tear_bytes == kNoTear the barrier commits nothing; with tear_bytes >=
+  // 0, exactly min(tear_bytes, granule) bytes of the in-flight granule
+  // become durable before the crash — a torn write. Arming replaces any
+  // previously armed point.
   void FailAfterPersists(uint64_t n, int64_t tear_bytes = kNoTear);
-  void Disarm();
-  bool armed() const { return persists_until_crash_.load() > 0; }
 
   bool crashed() const {
     return crashed_.load(std::memory_order_relaxed);

@@ -1,30 +1,24 @@
 #include "store/disk_store.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <thread>
 
-#include "common/timer.h"
-
 namespace pieces {
 
-namespace {
+static_assert(PageStore::kInvalidPage == SlottedStore::kNoPage);
 
-size_t SlotsPerPage(size_t page_size, size_t record_bytes) {
-  if (record_bytes == 0) return 0;
-  // The handle packs the slot into 16 bits.
-  return std::min<size_t>(page_size / record_bytes, 0xffff);
-}
-
-}  // namespace
-
-DiskStore::DiskStore(std::unique_ptr<OrderedIndex> index,
-                     const Config& config)
-    : config_(config),
-      slots_per_page_(SlotsPerPage(config.page_size,
-                                   sizeof(Key) + config.value_size +
-                                       sizeof(RecordHeader))),
+DiskStore::DiskStore(std::unique_ptr<OrderedIndex> index, const Config& config)
+    // The handle packs the slot into 16 bits.
+    : SlottedStore(std::move(index), config.value_size,
+                   std::min<size_t>(config.page_size /
+                                        (sizeof(Key) + config.value_size +
+                                         sizeof(RecordHeader)),
+                                    0xffff),
+                   config.page_size,
+                   std::max<size_t>(1, config.group_commit_ops),
+                   config.group_commit_delay_us),
+      config_(config),
       pages_(config.path,
              PageStore::Options{
                  .page_size = config.page_size,
@@ -33,44 +27,22 @@ DiskStore::DiskStore(std::unique_ptr<OrderedIndex> index,
                                                    1, config.page_size)),
                  .unlink_on_close = config.unlink_on_close}),
       pool_(&pages_, std::max<size_t>(1, config.pool_pages),
-            config.io_engine),
-      index_(std::move(index)) {
+            config.io_engine) {
   if (!pages_.ok()) {
     error_ = pages_.error();
-  } else if (slots_per_page_ == 0) {
+  } else if (slots_per_page() == 0) {
     error_ = "DiskStore: page_size too small for one record";
   }
 }
 
-bool DiskStore::ClaimSlot(uint32_t* page, uint32_t* slot, bool* fresh_page) {
-  // Caller holds write_mu_.
-  *fresh_page = false;
-  if (tail_page_ == PageStore::kInvalidPage ||
-      next_slot_ >= slots_per_page_) {
-    uint32_t p = pages_.AllocatePage();
-    if (p == PageStore::kInvalidPage) return false;
-    tail_page_ = p;
-    next_slot_ = 0;
-    *fresh_page = true;
-  }
-  *page = tail_page_;
-  *slot = next_slot_++;
-  return true;
-}
-
-uint8_t* DiskStore::PinWait(uint32_t page) const {
-  return PinSpanWait(page, /*ra_lo=*/0, /*ra_hi=*/0);
-}
-
-uint8_t* DiskStore::PinSpanWait(uint32_t page, uint32_t ra_lo,
-                                uint32_t ra_hi) const {
+const uint8_t* DiskStore::PinWait(uint32_t page, uint32_t ra_lo,
+                                  uint32_t ra_hi) const {
   // nullptr means every frame is transiently pinned by other callers
   // (each caller holds at most one pin at a time, so backing off
   // resolves it) or — outside the simulated fault model — a device read
   // error; both are retried.
   uint8_t* frame;
-  PinStatus status;
-  while ((frame = pool_.PinSpan(page, ra_lo, ra_hi, &status)) == nullptr) {
+  while ((frame = pool_.PinSpan(page, ra_lo, ra_hi)) == nullptr) {
     std::this_thread::yield();
   }
   return frame;
@@ -82,19 +54,21 @@ void DiskStore::ReadaheadSpan(Key key, uint32_t target, uint32_t* ra_lo,
   *ra_hi = target + 1;
   size_t rank_lo;
   size_t rank_hi;
-  if (!index_->PredictRank(key, &rank_lo, &rank_hi)) return;
+  if (config_.readahead_max_pages == 0 ||
+      !index().PredictRank(key, &rank_lo, &rank_hi)) {
+    return;
+  }
   // Rank -> page holds for bulk-load order (slots are claimed in key
   // order); post-load appends land elsewhere and simply miss the span —
   // the waste shows up in readahead_wasted, not in correctness.
-  uint32_t lo = static_cast<uint32_t>(rank_lo / slots_per_page_);
-  uint32_t hi = static_cast<uint32_t>(
-      (rank_hi + slots_per_page_ - 1) / slots_per_page_);
+  const size_t slots = slots_per_page();
+  uint32_t lo = static_cast<uint32_t>(rank_lo / slots);
+  uint32_t hi = static_cast<uint32_t>((rank_hi + slots - 1) / slots);
   lo = std::min(lo, target);
   hi = std::max(hi, target + 1);
   hi = std::min<uint32_t>(hi, static_cast<uint32_t>(pages_.num_pages()));
   if (hi <= target) hi = target + 1;
-  const uint32_t cap =
-      static_cast<uint32_t>(std::max<size_t>(1, config_.readahead_max_pages));
+  const uint32_t cap = static_cast<uint32_t>(config_.readahead_max_pages);
   if (hi - lo > cap) {
     // Too wide for the knob: keep a cap-sized window around the target.
     const uint32_t before = std::min(target - lo, (cap - 1) / 2);
@@ -105,446 +79,39 @@ void DiskStore::ReadaheadSpan(Key key, uint32_t target, uint32_t* ra_lo,
   *ra_hi = hi;
 }
 
-bool DiskStore::BulkLoad(const std::vector<Key>& keys) {
-  return BulkLoad(keys, [this](Key key, uint8_t* buf) {
-    FillSyntheticRecordValue(key, buf, config_.value_size);
-  });
-}
-
-bool DiskStore::BulkLoad(const std::vector<Key>& keys,
-                         const std::function<void(Key, uint8_t*)>& fill) {
-  CheckPowered();
-  std::lock_guard<std::mutex> lock(write_mu_);
-  std::vector<KeyValue> entries;
-  entries.reserve(keys.size());
-  // One durability point per load: the frame stays pinned while its slots
-  // fill and is written back without a barrier when it closes; one
-  // fdatasync after the last page makes the load durable before the index
-  // is built and the load acknowledged. A crash before that keeps a
-  // page-order prefix of the load (a torn boundary record fails its CRC);
-  // nothing unacked was promised. ViperStore keeps one persist per page
-  // span: its persist is a simulated flush, not a syscall.
-  uint32_t pinned_page = PageStore::kInvalidPage;
-  uint8_t* frame = nullptr;
-  auto close_page = [&]() {
-    if (pinned_page == PageStore::kInvalidPage) return;
-    pool_.WriteBack(pinned_page);
-    pool_.Unpin(pinned_page, /*dirty=*/false);
-    pinned_page = PageStore::kInvalidPage;
-  };
-  for (Key key : keys) {
-    uint32_t page;
-    uint32_t slot;
-    bool fresh;
-    if (!ClaimSlot(&page, &slot, &fresh)) {
-      close_page();
-      return false;
-    }
-    if (page != pinned_page) {
-      close_page();
-      frame = fresh ? pool_.PinNew(page) : PinWait(page);
-      if (frame == nullptr) frame = PinWait(page);
-      pinned_page = page;
-    }
-    uint8_t* rec = frame + SlotOffset(slot);
-    std::memcpy(rec, &key, sizeof(Key));
-    fill(key, rec + sizeof(Key));
-    RecordHeader header = SealRecord(rec, PayloadBytes(), next_seqno_++);
-    std::memcpy(rec + PayloadBytes(), &header, sizeof(RecordHeader));
-    entries.push_back({key, PackHandle(page, slot)});
-  }
-  close_page();
-  pages_.Sync();
-  index_->BulkLoad(entries);
-  size_.store(keys.size(), std::memory_order_relaxed);
-  return true;
-}
-
-bool DiskStore::Put(Key key, const uint8_t* value) {
-  CheckPowered();
-  return config_.group_commit_ops > 1 ? PutGrouped(key, value)
-                                      : PutSingle(key, value);
-}
-
-bool DiskStore::PutSingle(Key key, const uint8_t* value) {
-  // Ungrouped write path: one caller owns both barriers. Writers
-  // serialize on write_mu_ for slot claim and frame mutation; each
-  // FlushPage's fsync itself runs outside the pool mutex, so readers'
-  // pin/unpin never wait on a barrier.
-  std::lock_guard<std::mutex> lock(write_mu_);
-  uint32_t page;
-  uint32_t slot;
-  bool fresh;
-  if (!ClaimSlot(&page, &slot, &fresh)) return false;
-  uint8_t* frame = fresh ? pool_.PinNew(page) : PinWait(page);
-  if (frame == nullptr) frame = PinWait(page);
-  uint8_t* rec = frame + SlotOffset(slot);
-  // Commit protocol (record_format.h): payload, barrier, header, barrier,
-  // index swing, ack. A crash at either barrier leaves the slot without a
-  // validating header, so recovery includes exactly the acknowledged puts.
-  // The slot is invisible to readers until the index swing, so mutating
-  // the pinned frame under concurrent reads of *other* slots is safe.
-  std::memcpy(rec, &key, sizeof(Key));
-  std::memcpy(rec + sizeof(Key), value, config_.value_size);
-  std::memset(rec + PayloadBytes(), 0, sizeof(RecordHeader));
-  pool_.FlushPage(page);
-  RecordHeader header = SealRecord(rec, PayloadBytes(), next_seqno_++);
-  std::memcpy(rec + PayloadBytes(), &header, sizeof(RecordHeader));
-  pool_.FlushPage(page);
-  if (!index_->Insert(key, PackHandle(page, slot))) {
-    // Durable but never acknowledged: revoke the commit header so recovery
-    // cannot resurrect a put the caller was told failed.
-    std::memset(rec + PayloadBytes(), 0, sizeof(RecordHeader));
-    pool_.FlushPage(page);
-    pool_.Unpin(page, /*dirty=*/false);
-    return false;
-  }
-  // Replication tap, before the unpin (the value bytes live in the pinned
-  // frame) and before the caller's ack.
-  EmitCommit(header.seqno, key, rec + sizeof(Key), config_.value_size);
-  pool_.Unpin(page, /*dirty=*/false);
-  size_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-bool DiskStore::PutGrouped(Key key, const uint8_t* value) {
-  std::unique_lock<std::mutex> lock(write_mu_);
-  uint32_t page;
-  uint32_t slot;
-  bool fresh;
-  if (!ClaimSlot(&page, &slot, &fresh)) return false;
-  // Pin the slot's frame. Never spin on the pool while holding
-  // write_mu_: a leader mid-commit needs the mutex back to unpin its
-  // group's frames, so a holder spinning here could deadlock the pool.
-  uint8_t* frame = fresh ? pool_.PinNew(page) : pool_.Pin(page);
-  while (frame == nullptr) {
-    lock.unlock();
-    std::this_thread::yield();
-    lock.lock();
-    CheckPowered();  // our claimed slot died with the crash (zero header)
-    frame = pool_.Pin(page);
-  }
-  uint8_t* rec = frame + SlotOffset(slot);
-  // Append payload with a zeroed header and enqueue. The seqno (and so
-  // the index-swing order) is the enqueue order, assigned under
-  // write_mu_; the CRC is computed now, the header bytes land in the
-  // frame only after the leader's payload barrier.
-  std::memcpy(rec, &key, sizeof(Key));
-  std::memcpy(rec + sizeof(Key), value, config_.value_size);
-  std::memset(rec + PayloadBytes(), 0, sizeof(RecordHeader));
-  PendingCommit entry;
-  entry.page = page;
-  entry.rec = rec;
-  entry.key = key;
-  entry.handle = PackHandle(page, slot);
-  entry.header = SealRecord(rec, PayloadBytes(), next_seqno_++);
-  commit_queue_.push_back(&entry);
-  commit_cv_.notify_all();  // wake a leader waiting out its joiner window
-  // Park until a leader resolves the entry — or lead, whenever the
-  // leader seat is empty. (A thread can come back from leading with its
-  // own entry still queued if the group overflowed ahead of it; it then
-  // simply leads again.)
-  while (entry.state == PendingCommit::State::kQueued) {
-    if (!leader_active_) {
-      leader_active_ = true;
-      LeadCommitLocked(lock);
-    } else {
-      commit_cv_.wait(lock);
-    }
-  }
-  switch (entry.state) {
-    case PendingCommit::State::kCommitted:
-      return true;
-    case PendingCommit::State::kRejected:
-      return false;
-    default:
-      // The group's barrier crashed; pins leak by design (Reset drops
-      // them) and the caller sees the same SimulatedCrash a solo put
-      // would have thrown from FlushPage.
-      throw SimulatedCrash{};
-  }
-}
-
-void DiskStore::WriteBackBatchLocked(
-    const std::vector<PendingCommit*>& batch) {
-  uint32_t last = PageStore::kInvalidPage;
-  for (const PendingCommit* e : batch) {
-    if (e->page == last) continue;  // members cluster in the tail page
-    pool_.WriteBack(e->page);
-    last = e->page;
-  }
-}
-
-void DiskStore::LeadCommitLocked(std::unique_lock<std::mutex>& lock) {
-  // Joiner window: give concurrent writers a beat to enqueue before the
-  // barriers are paid; a full group commits immediately.
-  if (commit_queue_.size() < config_.group_commit_ops &&
-      config_.group_commit_delay_us > 0) {
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::microseconds(config_.group_commit_delay_us);
-    commit_cv_.wait_until(lock, deadline, [&] {
-      return commit_queue_.size() >= config_.group_commit_ops;
-    });
-  }
-  std::vector<PendingCommit*> batch;
-  while (!commit_queue_.empty() && batch.size() < config_.group_commit_ops) {
-    batch.push_back(commit_queue_.front());
-    commit_queue_.pop_front();
-  }
-  group_commits_.fetch_add(1, std::memory_order_relaxed);
-  grouped_puts_.fetch_add(batch.size(), std::memory_order_relaxed);
-  bool locked = true;
-  try {
-    // Barrier 1: every member's payload (headers still zero in the
-    // frames). Write-backs run under write_mu_ — later enqueuers mutate
-    // other slots of the same frames under the same mutex — while the
-    // fsync runs unlocked so the store stays open for business.
-    WriteBackBatchLocked(batch);
-    lock.unlock();
-    locked = false;
-    pages_.Sync();
-    lock.lock();
-    locked = true;
-    // Headers, then barrier 2: the group is durable.
-    for (PendingCommit* e : batch) {
-      std::memcpy(e->rec + PayloadBytes(), &e->header, sizeof(RecordHeader));
-    }
-    WriteBackBatchLocked(batch);
-    lock.unlock();
-    locked = false;
-    pages_.Sync();
-    lock.lock();
-    locked = true;
-    // Index swings in seqno (= enqueue) order, so a key written twice in
-    // one group ends with its highest seqno live — matching what
-    // recovery would reconstruct.
-    std::vector<PendingCommit*> revoked;
-    for (PendingCommit* e : batch) {
-      if (index_->Insert(e->key, e->handle)) {
-        e->state = PendingCommit::State::kCommitted;
-        size_.fetch_add(1, std::memory_order_relaxed);
-        // Replication tap, in seqno (= enqueue) order under write_mu_;
-        // the member cannot observe kCommitted (and ack) until the
-        // leader's notify below, so tap-before-ack holds per member.
-        EmitCommit(e->header.seqno, e->key, e->rec + sizeof(Key),
-                   config_.value_size);
-      } else {
-        revoked.push_back(e);
-      }
-    }
-    if (!revoked.empty()) {
-      // Durable but never acknowledged: revoke the headers under one
-      // extra barrier. kRejected only lands after the revoke is durable
-      // — if this barrier crashes, the member throws like any crashed
-      // put rather than promising "recovery will not resurrect me".
-      for (PendingCommit* e : revoked) {
-        std::memset(e->rec + PayloadBytes(), 0, sizeof(RecordHeader));
-      }
-      WriteBackBatchLocked(revoked);
-      lock.unlock();
-      locked = false;
-      pages_.Sync();
-      lock.lock();
-      locked = true;
-      for (PendingCommit* e : revoked) {
-        e->state = PendingCommit::State::kRejected;
-      }
-    }
-    for (PendingCommit* e : batch) pool_.Unpin(e->page, /*dirty=*/false);
-  } catch (const SimulatedCrash&) {
-    if (!locked) lock.lock();
-    // Power failed at a grouped barrier: the whole batch crashes, and so
-    // does everything still queued (its durability is unknowable now).
-    // Pins leak on purpose — Reset() reclaims them in recovery.
-    // (kCommitted members keep their ack even when the *revoke* barrier
-    // crashed — their own commit and swing fully preceded it.)
-    for (PendingCommit* e : batch) {
-      if (e->state == PendingCommit::State::kQueued) {
-        e->state = PendingCommit::State::kCrashed;
-      }
-    }
-    for (PendingCommit* e : commit_queue_) {
-      e->state = PendingCommit::State::kCrashed;
-    }
-    commit_queue_.clear();
-    leader_active_ = false;
-    commit_cv_.notify_all();
-    throw;
-  }
-  leader_active_ = false;
-  commit_cv_.notify_all();
-}
-
-bool DiskStore::PutSynthetic(Key key) {
-  std::vector<uint8_t> value(config_.value_size);
-  FillSyntheticRecordValue(key, value.data(), config_.value_size);
-  return Put(key, value.data());
-}
-
-bool DiskStore::Get(Key key, uint8_t* out) const {
-  CheckPowered();
-  Value handle;
-  if (!index_->Get(key, &handle)) return false;
+void DiskStore::ReadValue(Key key, Value handle, uint8_t* out) const {
+  // Error-bound readahead: the model's predicted span is every page this
+  // lookup (and its neighborhood) can touch — pin the target and bring the
+  // span resident in one overlapped engine batch.
   const uint32_t page = HandlePage(handle);
-  const uint8_t* frame;
-  if (config_.readahead_max_pages > 0) {
-    // Error-bound readahead: the model's predicted span is every page
-    // this lookup (and its neighborhood) can touch — pin the target and
-    // bring the span resident in one overlapped engine batch.
-    uint32_t ra_lo;
-    uint32_t ra_hi;
-    ReadaheadSpan(key, page, &ra_lo, &ra_hi);
-    frame = PinSpanWait(page, ra_lo, ra_hi);
-  } else {
-    frame = PinWait(page);
-  }
-  std::memcpy(out, frame + SlotOffset(HandleSlot(handle)) + sizeof(Key),
-              config_.value_size);
+  uint32_t ra_lo;
+  uint32_t ra_hi;
+  ReadaheadSpan(key, page, &ra_lo, &ra_hi);
+  const uint8_t* frame = PinWait(page, ra_lo, ra_hi);
+  std::memcpy(out, frame + ValueOffset(handle), value_size());
   pool_.Unpin(page, /*dirty=*/false);
-  lookups_.fetch_add(1, std::memory_order_relaxed);
-  return true;
 }
 
-size_t DiskStore::GetBatch(std::span<const Key> keys, uint8_t* const* outs,
-                           bool* found) const {
-  CheckPowered();
-  constexpr size_t kTile = 64;
-  Value handles[kTile];
-  // (page, tile index) pairs, sorted by page so the batch charges one pool
-  // access per *distinct* page instead of one per key — consecutive keys
-  // cluster in pages after bulk load, so range-shaped batches amortize
-  // fetches across the whole run that lands in a page.
-  std::pair<uint32_t, uint32_t> order[kTile];
-  size_t hits = 0;
-  for (size_t base = 0; base < keys.size(); base += kTile) {
-    size_t m = std::min(kTile, keys.size() - base);
-    index_->GetBatch(keys.subspan(base, m), handles, found + base);
-    size_t k = 0;
-    for (size_t j = 0; j < m; ++j) {
-      if (!found[base + j]) continue;
-      order[k++] = {HandlePage(handles[j]), static_cast<uint32_t>(j)};
-    }
-    std::sort(order, order + k);
-    // Submit the tile's distinct pages as ONE engine batch: the pool
-    // fetches every missing page overlapped (best-effort) before the
-    // serve loop below pins them one at a time.
-    uint32_t tile_pages[kTile];
-    size_t np = 0;
-    for (size_t i = 0; i < k; ++i) {
-      if (np == 0 || tile_pages[np - 1] != order[i].first) {
-        tile_pages[np++] = order[i].first;
-      }
-    }
-    if (np > 1) pool_.Prefetch(std::span<const uint32_t>(tile_pages, np));
-    const uint8_t* frame = nullptr;
-    uint32_t pinned = PageStore::kInvalidPage;
-    for (size_t i = 0; i < k; ++i) {
-      const uint32_t page = order[i].first;
-      const uint32_t j = order[i].second;
-      if (page != pinned) {
-        if (pinned != PageStore::kInvalidPage) {
-          pool_.Unpin(pinned, /*dirty=*/false);
-        }
-        frame = PinWait(page);
-        pinned = page;
-      }
-      std::memcpy(outs[base + j],
-                  frame + SlotOffset(HandleSlot(handles[j])) + sizeof(Key),
-                  config_.value_size);
-    }
-    if (pinned != PageStore::kInvalidPage) {
-      pool_.Unpin(pinned, /*dirty=*/false);
-    }
-    hits += k;
-    lookups_.fetch_add(m, std::memory_order_relaxed);
+void DiskStore::ReadValues(const SlotRead* reads, size_t n) const {
+  // Submit the distinct pages as ONE engine batch: the pool fetches every
+  // missing page overlapped (best-effort) before the loop below pins each
+  // page once for all of its reads.
+  uint32_t pages[kReadTile];
+  size_t np = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t page = HandlePage(reads[i].handle);
+    if (np == 0 || pages[np - 1] != page) pages[np++] = page;
   }
-  return hits;
-}
-
-size_t DiskStore::Scan(Key from, size_t count,
-                       std::vector<Key>* out_keys) const {
-  CheckPowered();
-  std::vector<KeyValue> handles;
-  handles.reserve(count);
-  size_t got = index_->Scan(from, count, &handles);
-  // Handles arrive in key order, which is page order for bulk-loaded
-  // runs; keeping the current page pinned across consecutive records makes
-  // the scan cost one pool access per page, not per record. Each block of
-  // records prefetches its distinct pages in one engine batch so a cold
-  // scan streams overlapped bursts instead of faulting page by page.
-  constexpr size_t kScanBlock = 64;
-  std::vector<uint8_t> value(config_.value_size);
-  const uint8_t* frame = nullptr;
-  uint32_t pinned = PageStore::kInvalidPage;
-  std::vector<uint32_t> block_pages;
-  for (size_t base = 0; base < handles.size(); base += kScanBlock) {
-    const size_t m = std::min(kScanBlock, handles.size() - base);
-    block_pages.clear();
-    for (size_t i = 0; i < m; ++i) {
-      const uint32_t page = HandlePage(handles[base + i].value);
-      if (block_pages.empty() || block_pages.back() != page) {
-        block_pages.push_back(page);
-      }
+  if (np > 1) pool_.Prefetch(std::span<const uint32_t>(pages, np));
+  for (size_t i = 0; i < n;) {
+    const uint32_t page = HandlePage(reads[i].handle);
+    const uint8_t* frame = PinWait(page);
+    for (; i < n && HandlePage(reads[i].handle) == page; ++i) {
+      std::memcpy(reads[i].dst, frame + ValueOffset(reads[i].handle),
+                  value_size());
     }
-    if (block_pages.size() > 1) pool_.Prefetch(block_pages);
-    for (size_t i = 0; i < m; ++i) {
-      const KeyValue& kv = handles[base + i];
-      const uint32_t page = HandlePage(kv.value);
-      if (page != pinned) {
-        if (pinned != PageStore::kInvalidPage) {
-          pool_.Unpin(pinned, /*dirty=*/false);
-        }
-        frame = PinWait(page);
-        pinned = page;
-      }
-      std::memcpy(value.data(),
-                  frame + SlotOffset(HandleSlot(kv.value)) + sizeof(Key),
-                  config_.value_size);
-      out_keys->push_back(kv.key);
-    }
+    pool_.Unpin(page, /*dirty=*/false);
   }
-  if (pinned != PageStore::kInvalidPage) {
-    pool_.Unpin(pinned, /*dirty=*/false);
-  }
-  return got;
-}
-
-uint64_t DiskStore::Recover() {
-  Timer timer;
-  // Power back on (no-op after a clean shutdown), and drop every cached
-  // frame: the crash rolled the file back under the pool, and a crash may
-  // have unwound a writer mid-pin.
-  pages_.ClearCrash();
-  pool_.Reset();
-  std::lock_guard<std::mutex> lock(write_mu_);
-  // The file's page count survives a crash the way a file's length does;
-  // nothing else from the pre-crash DRAM state is trusted. Scan every slot
-  // straight off the file (bypassing the pool — recovery is one pass and
-  // would only evict-thrash it) and keep only validating commit headers.
-  const size_t num_pages = pages_.num_pages();
-  std::vector<RecoveredRecord> records;
-  std::vector<uint8_t> page_buf(config_.page_size);
-  for (uint32_t p = 0; p < num_pages; ++p) {
-    pages_.ReadPage(p, page_buf.data());
-    for (uint32_t s = 0; s < slots_per_page_; ++s) {
-      RecoveredRecord found{.handle = PackHandle(p, s)};
-      if (ValidateRecord(page_buf.data() + SlotOffset(s), PayloadBytes(),
-                         &found)) {
-        records.push_back(found);
-      }
-    }
-  }
-  uint64_t max_seqno;
-  const std::vector<KeyValue> latest = LatestPerKey(records, &max_seqno);
-  index_->BulkLoad(latest);
-  size_.store(latest.size(), std::memory_order_relaxed);
-  next_seqno_.store(max_seqno + 1, std::memory_order_relaxed);
-  // Never resume filling a possibly-torn tail page: the next claim after
-  // recovery opens a fresh page.
-  tail_page_ = PageStore::kInvalidPage;
-  next_slot_ = 0;
-  return timer.ElapsedNanos();
 }
 
 StoreIoStats DiskStore::IoStats() const {

@@ -7,56 +7,37 @@
 // configurable fraction of it, and the interesting cost model becomes
 // *page fetches per lookup vs model precision* (disk_tier experiment).
 //
-// Record layout and durability are the ViperStore commit protocol
-// verbatim (store/record_format.h): [key | value | RecordHeader] per
-// slot, payload flushed before header, header flushed before the index
-// swing, ack after — each "flush" here a page write-through + fsync
-// barrier instead of a persist fence. A bulk load is one durability
-// point: pages are written back as they fill and a single fdatasync
-// covers the whole load before it is acknowledged. Recovery scans the
-// file, trusts only validating headers, and resolves duplicate keys by
-// highest seqno; it is exactly as good after a power cut (torn pages
-// included) as after a clean shutdown.
+// This is the disk medium of SlottedStore (store/slotted_store.h): the
+// record format, the commit sequence, bulk load (one fdatasync per load),
+// page-grouped GetBatch and recovery are the PMem store's, verbatim. What
+// stays here is what the disk does differently: a page is a pool frame
+// reached by pin/unpin (a fresh page is pinned without a fetch); a barrier
+// is a write-back of the touched frames plus one fdatasync, and a put's
+// barriers run with the writer and pool mutexes released, so readers of
+// resident pages never wait on the device; batch reads fetch a tile's
+// missing pages in one IoEngine batch (store/io_engine.h), and — when
+// `readahead_max_pages` > 0 and the index has a bounded model — Get pins
+// the predicted-rank page span (slot ± err) in one burst instead of
+// faulting pages one by one.
 //
-// Batched reads group by page: GetBatch resolves handles through the
-// index's batch path, then sorts the hits by page id so a batch charges
-// one pool fetch per *distinct page*, not per key — consecutive keys
-// cluster in pages after bulk load, so range-shaped batches amortize
-// fetches the way the PR 4 batch path amortizes cache misses.
-//
-// Concurrency: any number of concurrent readers (each holds at most one
-// pin at a time); writers serialize on an internal mutex for slot claim
-// and frame mutation, but the fsync barriers themselves run outside it.
-// With group commit enabled (group_commit_ops > 1), concurrent Puts
-// append payload+header into pinned frames and park on a commit
-// sequence while a leader issues ONE fdatasync pair for the whole group
-// — the commit-protocol invariants (header-after-payload-durable,
-// revoke-on-failed-swing, seqno order = enqueue order) are preserved
-// per member, so the crash sweep holds at every grouped barrier.
-//
-// Reads route through the buffer pool's async IoEngine
-// (store/io_engine.h): GetBatch prefetches a tile's distinct missing
-// pages in one engine batch, and — when `readahead_max_pages` > 0 and
-// the index has a bounded model — Get pins the predicted-rank page span
-// (slot ± err) in one burst instead of faulting pages one by one.
+// Writers always go through the commit queue: a leader commits up to
+// `group_commit_ops` queued puts under one fdatasync pair (1 = every put
+// pays its own two barriers), so per-member invariants —
+// header-after-payload-durable, revoke-on-failed-swing, seqno order =
+// queue order — hold at every grouped barrier.
 #ifndef PIECES_STORE_DISK_STORE_H_
 #define PIECES_STORE_DISK_STORE_H_
 
-#include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "store/buffer_pool.h"
 #include "store/page_store.h"
-#include "store/record_format.h"
-#include "store/store_backend.h"
+#include "store/slotted_store.h"
 
 namespace pieces {
 
-class DiskStore : public StoreBackend {
+class DiskStore : public SlottedStore {
  public:
   struct Config {
     size_t value_size = 200;   // The paper's 200-byte values.
@@ -91,121 +72,65 @@ class DiskStore : public StoreBackend {
   // False when the backing file could not be opened (e.g. the data
   // directory is unwritable); error() says why. All other calls are
   // invalid until ok().
-  bool ok() const { return pages_.ok() && slots_per_page_ > 0; }
+  bool ok() const { return pages_.ok() && slots_per_page() > 0; }
   const std::string& error() const { return error_; }
 
-  // ---- StoreBackend ---------------------------------------------------
-  bool BulkLoad(const std::vector<Key>& keys) override;
-  bool BulkLoad(const std::vector<Key>& keys,
-                const std::function<void(Key, uint8_t*)>& fill) override;
-  bool Put(Key key, const uint8_t* value) override;
-  bool PutSynthetic(Key key) override;
-  bool Get(Key key, uint8_t* out) const override;
-  size_t GetBatch(std::span<const Key> keys, uint8_t* const* outs,
-                  bool* found) const override;
-  size_t Scan(Key from, size_t count,
-              std::vector<Key>* out_keys) const override;
   void Crash() override { pages_.Crash(); }
-  uint64_t Recover() override;
-  const OrderedIndex& index() const override { return *index_; }
-  OrderedIndex* mutable_index() override { return index_.get(); }
-  size_t size() const override {
-    return size_.load(std::memory_order_relaxed);
+  void FailAfterBarriers(uint64_t n, int64_t tear_bytes) override {
+    pages_.FailAfterSyncs(n, tear_bytes);
   }
-  size_t value_size() const override { return config_.value_size; }
   std::string_view BackendName() const override { return "disk"; }
   StoreIoStats IoStats() const override;
 
-  // Crash-injection hook for the fsync-barrier sweep tests.
+  // Test hooks: the file's counters and the slow-fsync injection.
   PageStore& mutable_pages() { return pages_; }
   const PageStore& pages() const { return pages_; }
-  const BufferPool& pool() const { return pool_; }
-  size_t slots_per_page() const { return slots_per_page_; }
-  size_t record_bytes() const { return RecordBytes(); }
   // The fetch backend actually in use ("serial" / "threads" / "uring").
   std::string_view io_engine_name() const { return pool_.engine().name(); }
 
- private:
-  static Value PackHandle(uint32_t page, uint32_t slot) {
-    return (static_cast<uint64_t>(page) << 16) | slot;
+ protected:
+  uint32_t AllocatePage() override { return pages_.AllocatePage(); }
+  size_t PageCount() const override { return pages_.num_pages(); }
+  uint8_t* PinWrite(uint32_t page, bool fresh) override {
+    return fresh ? pool_.PinNew(page) : pool_.Pin(page);
   }
-  static uint32_t HandlePage(Value v) {
-    return static_cast<uint32_t>(v >> 16);
+  void Unpin(uint32_t page) override { pool_.Unpin(page, /*dirty=*/false); }
+  void Wrote(size_t) override {}
+  void WriteBack(uint32_t page) override { pool_.WriteBack(page); }
+  void Barrier(const uint8_t*, const uint8_t*) override { pages_.Sync(); }
+  void ReadValue(Key key, Value handle, uint8_t* out) const override;
+  void ReadValues(const SlotRead* reads, size_t n) const override;
+  const uint8_t* ReadPage(uint32_t page, uint8_t* scratch) const override {
+    // Straight off the file: recovery is one pass and would only
+    // evict-thrash the pool.
+    pages_.ReadPage(page, scratch);
+    return scratch;
   }
-  static uint32_t HandleSlot(Value v) {
-    return static_cast<uint32_t>(v & 0xffff);
+  bool crashed() const override { return pages_.crashed(); }
+  void PowerOn() override {
+    // The crash rolled the file back under the pool, and may have unwound
+    // a writer mid-pin: drop every cached frame.
+    pages_.ClearCrash();
+    pool_.Reset();
   }
 
-  size_t PayloadBytes() const { return sizeof(Key) + config_.value_size; }
-  size_t RecordBytes() const { return PayloadBytes() + sizeof(RecordHeader); }
-  size_t SlotOffset(uint32_t slot) const { return slot * RecordBytes(); }
-  // Claims a fresh slot under write_mu_, allocating (and pinning — via
-  // *frame) a page when the tail fills. False on file-capacity
-  // exhaustion.
-  bool ClaimSlot(uint32_t* page, uint32_t* slot, bool* fresh_page);
+ private:
   // Pin that spins out transient all-frames-pinned states (and rare
-  // device read errors, which are outside the simulated fault model).
-  uint8_t* PinWait(uint32_t page) const;
-  // PinWait with an error-bound readahead span: on a miss the pool
-  // brings [ra_lo, ra_hi) resident in the same engine batch.
-  uint8_t* PinSpanWait(uint32_t page, uint32_t ra_lo, uint32_t ra_hi) const;
+  // device read errors, which are outside the simulated fault model);
+  // on a miss the pool brings the readahead span [ra_lo, ra_hi) resident
+  // in the same engine batch.
+  const uint8_t* PinWait(uint32_t page, uint32_t ra_lo = 0,
+                         uint32_t ra_hi = 0) const;
   // The model's predicted page span for `key` around its target page,
-  // clamped to the file and capped at readahead_max_pages.
+  // clamped to the file and capped at readahead_max_pages; just the
+  // target when readahead is off or the model has no error bound.
   void ReadaheadSpan(Key key, uint32_t target, uint32_t* ra_lo,
                      uint32_t* ra_hi) const;
-  void CheckPowered() const {
-    if (pages_.crashed()) throw SimulatedCrash{};
-  }
-
-  // The PR 8 write path: one caller, two private barriers.
-  bool PutSingle(Key key, const uint8_t* value);
-  // The grouped write path: append + park; a leader commits the queue.
-  bool PutGrouped(Key key, const uint8_t* value);
-
-  // One queued put parked on the commit sequence. Lives on its caller's
-  // stack; the queue holds pointers, valid until the state resolves.
-  struct PendingCommit {
-    uint32_t page = 0;
-    uint8_t* rec = nullptr;  // slot bytes in the pinned frame
-    Key key = 0;
-    Value handle = 0;
-    RecordHeader header;  // precomputed at enqueue (seqno = queue order)
-    enum class State { kQueued, kCommitted, kRejected, kCrashed };
-    State state = State::kQueued;
-  };
-  // Drains up to group_commit_ops entries and commits them under one
-  // barrier pair. Called with write_mu_ held (leader_active_ already
-  // true); returns with it held and leader_active_ false.
-  void LeadCommitLocked(std::unique_lock<std::mutex>& lock);
-  // Writes the batch's distinct pages through to the file. Caller holds
-  // write_mu_ — enqueuers mutate frame bytes under the same mutex, so
-  // the write-back never races a member's payload memcpy.
-  void WriteBackBatchLocked(const std::vector<PendingCommit*>& batch);
 
   Config config_;
   std::string error_;
-  size_t slots_per_page_ = 0;
   PageStore pages_;
   mutable BufferPool pool_;
-  std::unique_ptr<OrderedIndex> index_;
-
-  // Serializes slot claim + frame mutation + the commit queue. Barriers
-  // (fdatasync) always run with this mutex *released* so readers and
-  // fellow writers never stall behind the device.
-  std::mutex write_mu_;
-  uint32_t tail_page_ = PageStore::kInvalidPage;
-  uint32_t next_slot_ = 0;  // slot within tail_page_; under write_mu_
-
-  // Group-commit sequence (all under write_mu_).
-  std::condition_variable commit_cv_;
-  std::deque<PendingCommit*> commit_queue_;
-  bool leader_active_ = false;
-
-  std::atomic<size_t> size_{0};
-  std::atomic<uint64_t> next_seqno_{1};
-  mutable std::atomic<uint64_t> lookups_{0};
-  std::atomic<uint64_t> group_commits_{0};
-  std::atomic<uint64_t> grouped_puts_{0};
 };
 
 }  // namespace pieces

@@ -152,7 +152,6 @@ void PageStore::Sync() {
     pending_order_.clear();
     shadow_.clear();
     crashed_.store(true, std::memory_order_relaxed);
-    crash_count_.fetch_add(1, std::memory_order_relaxed);
     throw SimulatedCrash{};
   }
   const uint64_t delay = sync_delay_us_.load(std::memory_order_relaxed);
@@ -169,7 +168,6 @@ void PageStore::Crash() {
   std::lock_guard<std::mutex> lock(mu_);
   RestorePendingLocked();
   crashed_.store(true, std::memory_order_relaxed);
-  crash_count_.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace pieces

@@ -65,7 +65,6 @@ class PageStore {
 
   bool ok() const { return fd_ >= 0; }
   const std::string& error() const { return error_; }
-  const std::string& path() const { return path_; }
 
   // Extends the file by one (logical) page; returns its id, or
   // kInvalidPage when max_pages is reached. The page reads as zeros until
@@ -86,14 +85,13 @@ class PageStore {
 
   // ---- Crash-injection programming interface (tests/benches) --------
 
-  // Arms a deterministic crash point: the Nth subsequent Sync (n >= 1)
-  // fails. With tear_bytes == kNoTear the barrier commits nothing; with
-  // tear_bytes >= 0, pending page writes commit in first-write order
-  // until exactly that many bytes are durable (the boundary page commits
-  // a strict prefix — a torn write). Arming replaces any previous point.
+  // Arms a deterministic crash point: the Nth subsequent Sync (n >= 1;
+  // 0 disarms) fails. With tear_bytes == kNoTear the barrier commits
+  // nothing; with tear_bytes >= 0, pending page writes commit in
+  // first-write order until exactly that many bytes are durable (the
+  // boundary page commits a strict prefix — a torn write). Arming replaces
+  // any previous point.
   void FailAfterSyncs(uint64_t n, int64_t tear_bytes = kNoTear);
-  void Disarm() { syncs_until_crash_.store(0, std::memory_order_relaxed); }
-  bool armed() const { return syncs_until_crash_.load() > 0; }
 
   // Quiescent-point power failure: every written-but-unsynced page rolls
   // back to its durable image and the device refuses access until
@@ -101,7 +99,6 @@ class PageStore {
   void Crash();
   void ClearCrash() { crashed_.store(false, std::memory_order_relaxed); }
   bool crashed() const { return crashed_.load(std::memory_order_relaxed); }
-  uint64_t crash_count() const { return crash_count_.load(); }
 
   size_t page_size() const { return opts_.page_size; }
   size_t num_pages() const {
@@ -161,7 +158,6 @@ class PageStore {
   std::atomic<uint64_t> sync_delay_us_{0};
   int64_t tear_bytes_ = kNoTear;
   std::atomic<bool> crashed_{false};
-  std::atomic<uint64_t> crash_count_{0};
 
   mutable std::atomic<uint64_t> pages_read_{0};
   std::atomic<uint64_t> pages_written_{0};

@@ -8,7 +8,8 @@
 // fence; DiskStore with a page write-through + fsync — same protocol,
 // different barrier (see DESIGN.md "Crash consistency"). Sealing,
 // validation and the recovery-time "latest record per key" resolution
-// live here once; each store keeps only its medium walk.
+// live here; SlottedStore (store/slotted_store.h) runs the protocol and the
+// recovery walk once for both media.
 #ifndef PIECES_STORE_RECORD_FORMAT_H_
 #define PIECES_STORE_RECORD_FORMAT_H_
 

@@ -48,10 +48,8 @@ void SimulatedPmem::Charge(uint64_t ns) const {
 
 void SimulatedPmem::Read(const uint8_t* pmem_src, void* dst,
                          size_t bytes) const {
-  crash_.CheckPowered();
-  Charge(read_latency_ns_);
-  std::memcpy(dst, pmem_src, bytes);
-  bytes_read_.fetch_add(bytes, std::memory_order_relaxed);
+  uint8_t* out = static_cast<uint8_t*>(dst);
+  ReadBatch(&pmem_src, &out, bytes, 1);
 }
 
 void SimulatedPmem::ReadBatch(const uint8_t* const* pmem_srcs,
@@ -67,9 +65,13 @@ void SimulatedPmem::ReadBatch(const uint8_t* const* pmem_srcs,
 }
 
 void SimulatedPmem::Write(uint8_t* pmem_dst, const void* src, size_t bytes) {
+  Wrote(bytes);
+  std::memcpy(pmem_dst, src, bytes);
+}
+
+void SimulatedPmem::Wrote(size_t bytes) {
   crash_.CheckPowered();
   Charge(write_latency_ns_);
-  std::memcpy(pmem_dst, src, bytes);
   bytes_written_.fetch_add(bytes, std::memory_order_relaxed);
 }
 
@@ -77,16 +79,8 @@ void SimulatedPmem::Persist(const uint8_t* pmem_addr, size_t bytes) {
   crash_.CheckPowered();
   Charge(write_latency_ns_);
   persist_count_.fetch_add(1, std::memory_order_relaxed);
-  size_t used = used_.load(std::memory_order_relaxed);
-  size_t offset;
-  if (pmem_addr == nullptr) {
-    // Full fence: everything allocated so far becomes durable.
-    offset = 0;
-    bytes = used;
-  } else {
-    offset = static_cast<size_t>(pmem_addr - arena_);
-  }
-  crash_.Persisted(arena_, offset, bytes, used);
+  crash_.Persisted(arena_, static_cast<size_t>(pmem_addr - arena_), bytes,
+                   used_.load(std::memory_order_relaxed));
 }
 
 }  // namespace pieces

@@ -49,10 +49,12 @@ class SimulatedPmem {
   void ReadBatch(const uint8_t* const* pmem_srcs, uint8_t* const* dsts,
                  size_t bytes_each, size_t n) const;
   void Write(uint8_t* pmem_dst, const void* src, size_t bytes);
+  // Accounts a store of `bytes` made in place through an arena pointer (a
+  // store seals records in their slots): charged and counted like Write.
+  void Wrote(size_t bytes);
   // Persistence barrier (clwb + fence) over [pmem_addr, pmem_addr+bytes):
   // counted, charged the write latency once, and — the contract — the
-  // covered bytes are committed to the durable image. A nullptr address
-  // is a full fence over the whole allocated extent.
+  // covered bytes are committed to the durable image.
   void Persist(const uint8_t* pmem_addr, size_t bytes);
 
   // Quiescent-point power failure: every written-but-unpersisted byte is
@@ -68,7 +70,6 @@ class SimulatedPmem {
   // volatile pointer table.
   uint8_t* AddressAt(size_t offset) const { return arena_ + offset; }
 
-  size_t capacity() const { return capacity_; }
   size_t used() const { return used_.load(std::memory_order_relaxed); }
   uint64_t bytes_read() const { return bytes_read_.load(); }
   uint64_t bytes_written() const { return bytes_written_.load(); }

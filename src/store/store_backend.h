@@ -9,6 +9,11 @@
 //   * DiskStore   — records in fixed-size pages in a regular file behind
 //     a CLOCK buffer pool, fsync-barrier durability (store/disk_store.h).
 //
+// Both are media of one store, SlottedStore (store/slotted_store.h), which
+// implements this interface once: one record format, one commit sequence,
+// one bulk-load loop and one recovery walk, so the durability contract
+// below holds identically on either medium.
+//
 // Shard/KvService and the bench executor are written against this
 // interface, so the whole serving stack — batching, admission control,
 // live split/merge, crash-and-recover — runs unchanged on either medium,
@@ -92,13 +97,6 @@ struct StoreIoStats {
   // group_commits = achieved batch size; barriers/put drops accordingly).
   uint64_t group_commits = 0;
   uint64_t grouped_puts = 0;
-
-  double HitRate() const {
-    const uint64_t total = pool_hits + pool_misses;
-    return total == 0 ? 0.0
-                      : static_cast<double>(pool_hits) /
-                            static_cast<double>(total);
-  }
 };
 
 class StoreBackend {
@@ -106,7 +104,9 @@ class StoreBackend {
   virtual ~StoreBackend() = default;
 
   // Bulk-loads `keys` (sorted, unique) with synthetic values derived from
-  // each key. False when the medium's capacity is exceeded.
+  // each key. A true return means the whole load is durable. False when
+  // the medium's capacity is exceeded; like a false Put, recovery never
+  // resurrects any part of a failed load.
   virtual bool BulkLoad(const std::vector<Key>& keys) = 0;
   // Bulk-load with caller-provided values: `fill` writes value_size()
   // bytes per key (the live-migration path — shard split/merge preserves
@@ -166,13 +166,9 @@ class StoreBackend {
   // Commit-path helper for backends: announce a committed record.
   void EmitCommit(uint64_t seqno, Key key, const uint8_t* value,
                   size_t value_size) const {
-    if (commit_tap_ == nullptr) return;
-    CommitRecord record;
-    record.seqno = seqno;
-    record.key = key;
-    record.value = value;
-    record.value_size = value_size;
-    commit_tap_->OnCommit(record);
+    if (commit_tap_ != nullptr) {
+      commit_tap_->OnCommit({seqno, key, value, value_size});
+    }
   }
 
  private:

@@ -139,7 +139,7 @@ TEST(PageStoreTest, ArmedSyncNoTearCommitsNothing) {
   std::vector<uint8_t> durable = Stamp(512, 0x66);
   store.WritePage(p, durable.data());
   store.Sync();
-  store.FailAfterSyncs(1, PageStore::kNoTear);
+  store.FailAfterSyncs(1, CrashController::kNoTear);
   std::vector<uint8_t> fresh = Stamp(512, 0x77);
   store.WritePage(p, fresh.data());
   EXPECT_THROW(store.Sync(), SimulatedCrash);
@@ -234,7 +234,7 @@ TEST(PageStoreTest, TornSyncAcrossFreshPagesCommitsExactBudget) {
 // bytes, while a fresh page pending under the same barrier rolls back to
 // zeros.
 TEST(PageStoreTest, SyncedPageRewriteRollsBackToSyncedImage) {
-  for (int64_t tear : {PageStore::kNoTear, int64_t{100}}) {
+  for (int64_t tear : {CrashController::kNoTear, int64_t{100}}) {
     PageStore store(TempPath("psrewrite"), SmallOpts());
     ASSERT_TRUE(store.ok());
     uint32_t synced = store.AllocatePage();
@@ -245,7 +245,7 @@ TEST(PageStoreTest, SyncedPageRewriteRollsBackToSyncedImage) {
     std::vector<uint8_t> next = Stamp(512, 0xa5);
     store.WritePage(synced, next.data());
     store.WritePage(fresh, next.data());
-    if (tear == PageStore::kNoTear) {
+    if (tear == CrashController::kNoTear) {
       store.Crash();
     } else {
       store.FailAfterSyncs(1, tear);
@@ -253,7 +253,7 @@ TEST(PageStoreTest, SyncedPageRewriteRollsBackToSyncedImage) {
     }
     store.ClearCrash();
     std::vector<uint8_t> want = durable;
-    if (tear != PageStore::kNoTear) {
+    if (tear != CrashController::kNoTear) {
       std::copy(next.begin(), next.begin() + tear, want.begin());
     }
     std::vector<uint8_t> probe(512);

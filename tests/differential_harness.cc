@@ -1,6 +1,11 @@
 #include "differential_harness.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <map>
@@ -8,8 +13,11 @@
 #include <optional>
 #include <sstream>
 
+#include <gtest/gtest.h>
+
 #include "common/random.h"
 #include "index/registry.h"
+#include "store/disk_store.h"
 #include "store/viper.h"
 #include "workload/datasets.h"
 
@@ -207,14 +215,6 @@ std::optional<Failure> ExecuteIndexStream(const IndexFactory& make,
   return std::nullopt;
 }
 
-// Mirrors ViperStore::FillSynthetic (the documented key-derived payload;
-// viper_test relies on the same pattern).
-void FillSyntheticLike(Key key, uint8_t* buf, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    buf[i] = static_cast<uint8_t>((key >> (8 * (i % 8))) ^ i);
-  }
-}
-
 // Payload for harness Puts: derived from (key, op value) so every update
 // writes a distinct, recomputable buffer.
 void FillPutPayload(Key key, Value tag, uint8_t* buf, size_t n) {
@@ -227,36 +227,34 @@ void FillPutPayload(Key key, Value tag, uint8_t* buf, size_t n) {
 // payload", anything else is a FillPutPayload tag.
 constexpr Value kSyntheticTag = ~0ull;
 
-std::optional<Failure> ExecuteStoreStream(const std::string& index_name,
+void ExpectedPayload(Key key, Value tag, uint8_t* out, size_t n) {
+  if (tag == kSyntheticTag) {
+    FillSyntheticRecordValue(key, out, n);
+  } else {
+    FillPutPayload(key, tag, out, n);
+  }
+}
+
+std::optional<Failure> ExecuteStoreStream(const std::string& medium,
+                                          const std::string& index_name,
                                           const std::vector<Key>& load_keys,
                                           const std::vector<DiffOp>& ops,
                                           size_t value_size,
                                           bool crash_before_recover = false) {
-  ViperStore::Config vcfg;
-  vcfg.value_size = value_size;
-  // Keep the arena small: minimization replays construct many stores.
-  vcfg.pmem_capacity = size_t{64} << 20;
-  ViperStore store(MakeIndex(index_name), vcfg);
+  std::unique_ptr<SlottedStore> store =
+      MakeTestStore(medium, MakeIndex(index_name), value_size);
   Oracle oracle;
   for (Key k : load_keys) oracle[k] = kSyntheticTag;
-  if (!store.BulkLoad(load_keys)) return Failure{0, "BulkLoad exhausted pmem"};
+  if (!store->BulkLoad(load_keys)) return Failure{0, "BulkLoad out of space"};
 
   std::vector<uint8_t> buf(value_size);
   std::vector<uint8_t> want(value_size);
   std::vector<Key> scan_keys;
-  auto expect_payload = [&](Key key, Value tag, uint8_t* out) {
-    if (tag == kSyntheticTag) {
-      FillSyntheticLike(key, out, value_size);
-    } else {
-      FillPutPayload(key, tag, out, value_size);
-    }
-  };
-
   for (size_t i = 0; i < ops.size(); ++i) {
     const DiffOp& op = ops[i];
     switch (op.kind) {
       case DiffOp::kGet: {
-        bool present = store.Get(op.key, buf.data());
+        bool present = store->Get(op.key, buf.data());
         auto it = oracle.find(op.key);
         bool expected = it != oracle.end();
         if (present != expected) {
@@ -265,7 +263,7 @@ std::optional<Failure> ExecuteStoreStream(const std::string& index_name,
                                 (expected ? "found" : "absent")};
         }
         if (present) {
-          expect_payload(op.key, it->second, want.data());
+          ExpectedPayload(op.key, it->second, want.data(), value_size);
           if (std::memcmp(buf.data(), want.data(), value_size) != 0) {
             return Failure{i, "store Get payload mismatch"};
           }
@@ -275,7 +273,7 @@ std::optional<Failure> ExecuteStoreStream(const std::string& index_name,
       case DiffOp::kPut: {
         Value tag = op.value == kSyntheticTag ? 1 : op.value;
         FillPutPayload(op.key, tag, buf.data(), value_size);
-        if (!store.Put(op.key, buf.data())) {
+        if (!store->Put(op.key, buf.data())) {
           return Failure{i, "store Put failed"};
         }
         oracle[op.key] = tag;
@@ -283,7 +281,7 @@ std::optional<Failure> ExecuteStoreStream(const std::string& index_name,
       }
       case DiffOp::kScan: {
         scan_keys.clear();
-        size_t n = store.Scan(op.key, op.scan_len, &scan_keys);
+        size_t n = store->Scan(op.key, op.scan_len, &scan_keys);
         if (n != scan_keys.size()) {
           return Failure{i, "store Scan count mismatch"};
         }
@@ -306,14 +304,14 @@ std::optional<Failure> ExecuteStoreStream(const std::string& index_name,
         break;
       }
       case DiffOp::kRecover: {
-        // Every acknowledged op persisted before its ack, so even a power
+        // Every acknowledged op was durable before its ack, so even a power
         // failure here (crash_before_recover) loses nothing the oracle
         // knows about.
-        if (crash_before_recover) store.Crash();
-        store.Recover();
-        if (store.size() != oracle.size()) {
+        if (crash_before_recover) store->Crash();
+        store->Recover();
+        if (store->size() != oracle.size()) {
           return Failure{i, "store size after Recover=" +
-                                std::to_string(store.size()) + " oracle=" +
+                                std::to_string(store->size()) + " oracle=" +
                                 std::to_string(oracle.size())};
         }
         break;
@@ -323,61 +321,72 @@ std::optional<Failure> ExecuteStoreStream(const std::string& index_name,
   return std::nullopt;
 }
 
+// What the durability contract promises about the one put in flight when
+// the armed barrier fired.
+enum class InFlight { kAbsent, kPresent, kEither };
+
+// `put_barriers`: barriers the put issued, the crashing one included.
+InFlight InFlightAfterCrash(const SlottedStore& store, uint64_t put_barriers,
+                            int64_t tear) {
+  // The payload barrier (1) fired, or too little of the header barrier
+  // survived to complete a header's trailing magic: no header is durable.
+  if (put_barriers != 2 || tear == CrashController::kNoTear ||
+      tear < static_cast<int64_t>(sizeof(RecordHeader))) {
+    return InFlight::kAbsent;
+  }
+  // The header barrier writes exactly the header on PMem, but the whole
+  // tail page on disk, where the header's offset depends on its slot.
+  const size_t barrier_bytes =
+      store.BackendName() == "disk" ? store.page_bytes() : sizeof(RecordHeader);
+  return tear >= static_cast<int64_t>(barrier_bytes) ? InFlight::kPresent
+                                                      : InFlight::kEither;
+}
+
 // One (crash point, tear offset) replay: fresh store, bulk-load, arm the
 // crash, replay with live verification against the acknowledged-op
 // oracle, recover, and check the recovered store holds EXACTLY what the
 // durability contract promises. The armed crash can only fire inside a
-// Put (nothing else on the post-load path persists); which of the put's
-// two barriers fired is recovered from the persist counter, making the
-// expected post-crash state fully deterministic:
-//   * payload barrier (delta 1): no header ever written — strict oracle;
-//   * header barrier, tear < sizeof(RecordHeader): the trailing magic never
-//     completes — strict oracle;
-//   * header barrier, tear covers the whole header: the in-flight put is
-//     durable despite never being acknowledged — oracle plus that put.
-std::optional<Failure> ExecuteCrashRun(const std::string& index_name,
+// Put (nothing else on the post-load path issues a barrier); which of the
+// put's two barriers fired is read off the barrier counter, so the
+// expected post-crash state is the acked oracle plus the in-flight put as
+// InFlightAfterCrash says. With crash_at == 0 nothing fires and
+// *stream_barriers receives the barriers the stream crossed.
+std::optional<Failure> ExecuteCrashRun(const std::string& medium,
+                                       const std::string& index_name,
                                        const std::vector<Key>& load_keys,
                                        const std::vector<DiffOp>& ops,
                                        size_t value_size, uint64_t crash_at,
-                                       int64_t tear) {
-  ViperStore::Config vcfg;
-  vcfg.value_size = value_size;
-  vcfg.pmem_capacity = size_t{64} << 20;
-  ViperStore store(MakeIndex(index_name), vcfg);
+                                       int64_t tear,
+                                       uint64_t* stream_barriers = nullptr) {
+  std::unique_ptr<SlottedStore> store =
+      MakeTestStore(medium, MakeIndex(index_name), value_size);
   Oracle acked;
   for (Key k : load_keys) acked[k] = kSyntheticTag;
-  if (!store.BulkLoad(load_keys)) return Failure{0, "BulkLoad exhausted pmem"};
-  store.mutable_pmem().crash().FailAfterPersists(crash_at, tear);
+  if (!store->BulkLoad(load_keys)) return Failure{0, "BulkLoad out of space"};
+  const uint64_t barriers_after_load = store->IoStats().barriers;
+  store->FailAfterBarriers(crash_at, tear);
 
   std::vector<uint8_t> buf(value_size);
   std::vector<uint8_t> want(value_size);
   std::vector<Key> scan_keys;
-  auto expect_payload = [&](Key key, Value tag, uint8_t* out) {
-    if (tag == kSyntheticTag) {
-      FillSyntheticLike(key, out, value_size);
-    } else {
-      FillPutPayload(key, tag, out, value_size);
-    }
-  };
-
   bool crashed = false;
   Key pending_key = 0;
   Value pending_tag = 0;
-  uint64_t put_persists_before = 0;
+  uint64_t barriers_before_put = 0;
   size_t i = 0;
   try {
     for (; i < ops.size(); ++i) {
       const DiffOp& op = ops[i];
       switch (op.kind) {
         case DiffOp::kGet: {
-          bool present = store.Get(op.key, buf.data());
+          bool present = store->Get(op.key, buf.data());
           auto it = acked.find(op.key);
           bool expected = it != acked.end();
           if (present != expected) {
             return Failure{i, "pre-crash Get presence mismatch"};
           }
           if (present) {
-            expect_payload(op.key, it->second, want.data());
+            ExpectedPayload(op.key, it->second, want.data(), value_size);
             if (std::memcmp(buf.data(), want.data(), value_size) != 0) {
               return Failure{i, "pre-crash Get payload mismatch"};
             }
@@ -389,8 +398,8 @@ std::optional<Failure> ExecuteCrashRun(const std::string& index_name,
           FillPutPayload(op.key, tag, buf.data(), value_size);
           pending_key = op.key;
           pending_tag = tag;
-          put_persists_before = store.pmem().persist_count();
-          if (!store.Put(op.key, buf.data())) {
+          barriers_before_put = store->IoStats().barriers;
+          if (!store->Put(op.key, buf.data())) {
             return Failure{i, "pre-crash Put failed"};
           }
           acked[op.key] = tag;
@@ -398,12 +407,12 @@ std::optional<Failure> ExecuteCrashRun(const std::string& index_name,
         }
         case DiffOp::kScan:
           // Scan ordering is the differential runs' job; here the scan
-          // exercises the read path against a partially dirty arena.
+          // exercises the read path against a partially dirty medium.
           scan_keys.clear();
-          store.Scan(op.key, op.scan_len, &scan_keys);
+          store->Scan(op.key, op.scan_len, &scan_keys);
           break;
         case DiffOp::kRecover:
-          store.Recover();
+          store->Recover();
           break;
       }
     }
@@ -411,37 +420,48 @@ std::optional<Failure> ExecuteCrashRun(const std::string& index_name,
     crashed = true;
   }
 
-  bool pending_durable = false;
+  InFlight in_flight = InFlight::kAbsent;
   if (crashed) {
     if (i >= ops.size() || ops[i].kind != DiffOp::kPut) {
-      return Failure{i, "crash fired outside a Put (no persist expected)"};
+      return Failure{i, "crash fired outside a Put (no barrier expected)"};
     }
-    uint64_t delta = store.pmem().persist_count() - put_persists_before;
-    pending_durable =
-        delta == 2 && tear != CrashController::kNoTear &&
-        tear >= static_cast<int64_t>(sizeof(RecordHeader));
+    in_flight = InFlightAfterCrash(
+        *store, store->IoStats().barriers - barriers_before_put, tear);
   } else {
     // The (possibly minimized) stream crossed fewer than crash_at
     // barriers: power-fail at the quiescent end instead so the
     // verification below still runs.
-    store.mutable_pmem().crash().Disarm();
-    store.Crash();
+    if (stream_barriers != nullptr) {
+      *stream_barriers = store->IoStats().barriers - barriers_after_load;
+    }
+    store->FailAfterBarriers(0, CrashController::kNoTear);
+    store->Crash();
   }
-  store.Recover();
+  store->Recover();
 
   Oracle expected = acked;
-  if (pending_durable) expected[pending_key] = pending_tag;
-  if (store.size() != expected.size()) {
-    return Failure{i, "recovered size=" + std::to_string(store.size()) +
-                          " expected=" + std::to_string(expected.size()) +
-                          (pending_durable ? " (incl. in-flight put)" : "")};
+  if (in_flight != InFlight::kAbsent) {
+    // Did the in-flight put's own payload survive (an update's key is
+    // present either way)?
+    ExpectedPayload(pending_key, pending_tag, want.data(), value_size);
+    const bool durable =
+        store->Get(pending_key, buf.data()) &&
+        std::memcmp(buf.data(), want.data(), value_size) == 0;
+    if (in_flight == InFlight::kPresent && !durable) {
+      return Failure{i, "in-flight put with a durable header lost"};
+    }
+    if (durable) expected[pending_key] = pending_tag;
+  }
+  if (store->size() != expected.size()) {
+    return Failure{i, "recovered size=" + std::to_string(store->size()) +
+                          " expected=" + std::to_string(expected.size())};
   }
   for (const auto& [k, tag] : expected) {
-    if (!store.Get(k, buf.data())) {
+    if (!store->Get(k, buf.data())) {
       return Failure{i, "acknowledged key lost after crash-recover: " +
                             std::to_string(k)};
     }
-    expect_payload(k, tag, want.data());
+    ExpectedPayload(k, tag, want.data(), value_size);
     if (std::memcmp(buf.data(), want.data(), value_size) != 0) {
       return Failure{i, "payload mismatch after crash-recover at key " +
                             std::to_string(k)};
@@ -482,6 +502,39 @@ std::vector<DiffOp> MinimizeOps(
     chunk = std::max<size_t>(1, chunk / 2);
   }
   return prefix;
+}
+
+// Minimizes the stream prefix that ends at the failing op.
+std::vector<DiffOp> MinimizeFailure(
+    const std::vector<DiffOp>& ops, const Failure& failure,
+    const std::function<bool(const std::vector<DiffOp>&)>& still_fails) {
+  std::vector<DiffOp> prefix(
+      ops.begin(),
+      ops.begin() + static_cast<ptrdiff_t>(
+                        std::min(ops.size(), failure.op_index + 1)));
+  return MinimizeOps(prefix, still_fails);
+}
+
+// The stream a store oracle replays on `index_name`, which must be
+// updatable; without scan support the scan share folds into reads.
+bool PrepareStoreStream(const std::string& what, const std::string& index_name,
+                        const DiffConfig& cfg, DiffConfig* effective,
+                        std::vector<Key>* load_keys, std::vector<DiffOp>* ops,
+                        std::string* error) {
+  std::unique_ptr<OrderedIndex> probe = MakeIndex(index_name);
+  if (probe == nullptr || !probe->SupportsInsert()) {
+    *error = what + " needs an updatable index, got: " + index_name;
+    return false;
+  }
+  *effective = cfg;
+  if (!probe->SupportsScan()) {
+    effective->read_pct += effective->scan_pct;
+    effective->scan_pct = 0;
+  }
+  std::vector<Key> insert_pool;
+  MakeDiffKeys(*effective, load_keys, &insert_pool);
+  *ops = GenerateDiffOps(*effective, *load_keys, insert_pool);
+  return true;
 }
 
 std::string BuildReport(const std::string& kind, const std::string& index_name,
@@ -620,12 +673,8 @@ DiffResult RunIndexDifferential(const std::string& label,
   result.ops_executed = ops.size();
   if (!failure) return result;
 
-  std::vector<DiffOp> prefix(
-      ops.begin(),
-      ops.begin() + static_cast<ptrdiff_t>(
-                        std::min(ops.size(), failure->op_index + 1)));
   std::vector<DiffOp> minimized =
-      MinimizeOps(prefix, [&](const std::vector<DiffOp>& candidate) {
+      MinimizeFailure(ops, *failure, [&](const std::vector<DiffOp>& candidate) {
         return ExecuteIndexStream(make, load, candidate).has_value();
       });
   result.ok = false;
@@ -634,134 +683,117 @@ DiffResult RunIndexDifferential(const std::string& label,
   return result;
 }
 
-DiffResult RunStoreDifferential(const std::string& index_name,
+std::string MediumOfCurrentTest() {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::string suite = info == nullptr ? "" : info->test_suite_name();
+  return suite.rfind("Disk", 0) == 0 ? "disk" : "viper";
+}
+
+std::unique_ptr<SlottedStore> MakeTestStore(const std::string& medium,
+                                            std::unique_ptr<OrderedIndex> index,
+                                            size_t value_size) {
+  if (medium == "disk") {
+    static std::atomic<uint64_t> next_file{0};
+    DiskStore::Config cfg;
+    cfg.value_size = value_size;
+    // A pool far smaller than the data, so reads fetch and evict.
+    cfg.pool_pages = 4;
+    cfg.file_capacity = size_t{64} << 20;
+    cfg.path = ::testing::TempDir() + "/pieces_oracle_" +
+               std::to_string(::getpid()) + "_" +
+               std::to_string(next_file.fetch_add(1)) + ".pages";
+    auto store = std::make_unique<DiskStore>(std::move(index), cfg);
+    if (!store->ok()) {
+      std::fprintf(stderr, "MakeTestStore: %s\n", store->error().c_str());
+      std::abort();
+    }
+    return store;
+  }
+  ViperStore::Config cfg;
+  cfg.value_size = value_size;
+  // Keep the arena small: minimization replays construct many stores.
+  cfg.pmem_capacity = size_t{64} << 20;
+  return std::make_unique<ViperStore>(std::move(index), cfg);
+}
+
+DiffResult RunStoreDifferential(const std::string& medium,
+                                const std::string& index_name,
                                 const DiffConfig& cfg) {
   DiffResult result;
-  std::unique_ptr<OrderedIndex> probe = MakeIndex(index_name);
-  if (probe == nullptr || !probe->SupportsInsert()) {
+  DiffConfig effective;
+  std::vector<Key> load_keys;
+  std::vector<DiffOp> ops;
+  if (!PrepareStoreStream("store differential", index_name, cfg, &effective,
+                          &load_keys, &ops, &result.report)) {
     result.ok = false;
-    result.report = "store differential needs an updatable index, got: " +
-                    index_name;
     return result;
   }
-  DiffConfig effective = cfg;
-  if (!probe->SupportsScan()) {
-    effective.read_pct += effective.scan_pct;
-    effective.scan_pct = 0;
-  }
-  std::vector<Key> load_keys;
-  std::vector<Key> insert_pool;
-  MakeDiffKeys(effective, &load_keys, &insert_pool);
-  std::vector<DiffOp> ops = GenerateDiffOps(effective, load_keys, insert_pool);
-
-  std::optional<Failure> failure =
-      ExecuteStoreStream(index_name, load_keys, ops,
-                         effective.store_value_size,
-                         effective.crash_before_recover);
+  auto run = [&](const std::vector<DiffOp>& stream) {
+    return ExecuteStoreStream(medium, index_name, load_keys, stream,
+                              effective.store_value_size,
+                              effective.crash_before_recover);
+  };
+  std::optional<Failure> failure = run(ops);
   result.ops_executed = ops.size();
   if (!failure) return result;
-
-  std::vector<DiffOp> prefix(
-      ops.begin(),
-      ops.begin() + static_cast<ptrdiff_t>(
-                        std::min(ops.size(), failure->op_index + 1)));
   std::vector<DiffOp> minimized =
-      MinimizeOps(prefix, [&](const std::vector<DiffOp>& candidate) {
-        return ExecuteStoreStream(index_name, load_keys, candidate,
-                                  effective.store_value_size,
-                                  effective.crash_before_recover)
-            .has_value();
+      MinimizeFailure(ops, *failure, [&](const std::vector<DiffOp>& candidate) {
+        return run(candidate).has_value();
       });
   result.ok = false;
-  result.report = BuildReport("ViperStore", index_name, effective, *failure,
-                              ops, minimized);
+  result.report = BuildReport("store medium=" + medium, index_name, effective,
+                              *failure, ops, minimized);
   return result;
 }
 
-CrashSweepResult RunCrashSweep(const std::string& index_name,
+CrashSweepResult RunCrashSweep(const std::string& medium,
+                               const std::string& index_name,
                                const DiffConfig& cfg,
                                const std::vector<int64_t>& tear_offsets) {
   CrashSweepResult result;
-  std::unique_ptr<OrderedIndex> probe = MakeIndex(index_name);
-  if (probe == nullptr || !probe->SupportsInsert()) {
+  DiffConfig effective;
+  std::vector<Key> load_keys;
+  std::vector<DiffOp> ops;
+  if (!PrepareStoreStream("crash sweep", index_name, cfg, &effective,
+                          &load_keys, &ops, &result.report)) {
     result.ok = false;
-    result.report = "crash sweep needs an updatable index, got: " + index_name;
     return result;
   }
-  DiffConfig effective = cfg;
-  if (!probe->SupportsScan()) {
-    effective.read_pct += effective.scan_pct;
-    effective.scan_pct = 0;
+  const size_t value_size = effective.store_value_size;
+  // Dry run, disarmed: verifies the "never fires" endpoint (quiescent
+  // crash + recover) and counts the barriers the stream crosses — each
+  // one is a crash point.
+  uint64_t barriers = 0;
+  std::optional<Failure> clean =
+      ExecuteCrashRun(medium, index_name, load_keys, ops, value_size, 0,
+                      CrashController::kNoTear, &barriers);
+  if (clean) {
+    result.ok = false;
+    result.report = BuildReport("crash-sweep dry run, medium=" + medium,
+                                index_name, effective, *clean, ops, ops);
+    return result;
   }
-  std::vector<Key> load_keys;
-  std::vector<Key> insert_pool;
-  MakeDiffKeys(effective, &load_keys, &insert_pool);
-  std::vector<DiffOp> ops = GenerateDiffOps(effective, load_keys, insert_pool);
-
-  // Dry run: count the persist barriers the stream crosses — each one is
-  // a crash point — with a huge armed count so the n = "never fires"
-  // endpoint (quiescent crash + recover) is verified too.
-  {
-    std::optional<Failure> clean = ExecuteCrashRun(
-        index_name, load_keys, ops, effective.store_value_size, ~0ull,
-        CrashController::kNoTear);
-    if (clean) {
-      result.ok = false;
-      result.report = BuildReport("crash-sweep dry run", index_name, effective,
-                                  *clean, ops, ops);
-      return result;
-    }
-    ViperStore::Config vcfg;
-    vcfg.value_size = effective.store_value_size;
-    vcfg.pmem_capacity = size_t{64} << 20;
-    ViperStore store(MakeIndex(index_name), vcfg);
-    store.BulkLoad(load_keys);
-    uint64_t before = store.pmem().persist_count();
-    std::vector<uint8_t> buf(effective.store_value_size);
-    std::vector<Key> scan_keys;
-    for (const DiffOp& op : ops) {
-      switch (op.kind) {
-        case DiffOp::kGet:
-          store.Get(op.key, buf.data());
-          break;
-        case DiffOp::kPut:
-          FillPutPayload(op.key, op.value, buf.data(), buf.size());
-          store.Put(op.key, buf.data());
-          break;
-        case DiffOp::kScan:
-          scan_keys.clear();
-          store.Scan(op.key, op.scan_len, &scan_keys);
-          break;
-        case DiffOp::kRecover:
-          store.Recover();
-          break;
-      }
-    }
-    result.crash_points =
-        static_cast<size_t>(store.pmem().persist_count() - before);
-  }
+  result.crash_points = static_cast<size_t>(barriers);
 
   std::vector<int64_t> tears = tear_offsets;
   if (tears.empty()) tears.push_back(CrashController::kNoTear);
   for (uint64_t n = 1; n <= result.crash_points; ++n) {
     for (int64_t tear : tears) {
       ++result.runs;
-      std::optional<Failure> failure = ExecuteCrashRun(
-          index_name, load_keys, ops, effective.store_value_size, n, tear);
+      auto run = [&](const std::vector<DiffOp>& stream) {
+        return ExecuteCrashRun(medium, index_name, load_keys, stream,
+                               value_size, n, tear);
+      };
+      std::optional<Failure> failure = run(ops);
       if (!failure) continue;
-      std::vector<DiffOp> prefix(
-          ops.begin(),
-          ops.begin() + static_cast<ptrdiff_t>(
-                            std::min(ops.size(), failure->op_index + 1)));
-      std::vector<DiffOp> minimized =
-          MinimizeOps(prefix, [&](const std::vector<DiffOp>& candidate) {
-            return ExecuteCrashRun(index_name, load_keys, candidate,
-                                   effective.store_value_size, n, tear)
-                .has_value();
+      std::vector<DiffOp> minimized = MinimizeFailure(
+          ops, *failure, [&](const std::vector<DiffOp>& candidate) {
+            return run(candidate).has_value();
           });
       result.ok = false;
       result.report = BuildReport(
-          "crash-sweep persist=" + std::to_string(n) +
+          "crash-sweep medium=" + medium + " barrier=" + std::to_string(n) +
               " tear=" + std::to_string(tear),
           index_name, effective, *failure, ops, minimized);
       return result;
@@ -770,95 +802,102 @@ CrashSweepResult RunCrashSweep(const std::string& index_name,
   return result;
 }
 
-CrashSweepResult RunBulkLoadCrashSweep(const std::string& index_name,
-                                       size_t load_keys,
-                                       const std::vector<int64_t>& tear_offsets,
-                                       uint64_t seed) {
+CrashSweepResult RunBulkLoadCrashSweep(
+    const std::string& medium, const std::string& index_name,
+    size_t load_keys, const std::vector<int64_t>& boundary_offsets,
+    uint64_t seed) {
   CrashSweepResult result;
   if (MakeIndex(index_name) == nullptr) {
     result.ok = false;
     result.report = "unknown index: " + index_name;
     return result;
   }
-  std::vector<Key> keys = MakeUniformKeys(load_keys, seed);
-  ViperStore::Config vcfg;
-  vcfg.value_size = 24;
-  vcfg.pmem_capacity = size_t{64} << 20;
-  size_t record_bytes = 0;
-  // Dry run: barrier count (one per page span) and record geometry.
-  {
-    ViperStore store(MakeIndex(index_name), vcfg);
-    record_bytes = store.record_bytes();
-    uint64_t before = store.pmem().persist_count();
-    if (!store.BulkLoad(keys)) {
-      result.ok = false;
-      result.report = "BulkLoad exhausted pmem";
-      return result;
-    }
-    result.crash_points =
-        static_cast<size_t>(store.pmem().persist_count() - before);
-  }
-
-  std::vector<int64_t> tears = tear_offsets;
-  if (tears.empty()) tears.push_back(CrashController::kNoTear);
-  std::vector<uint8_t> buf(vcfg.value_size);
-  std::vector<uint8_t> want(vcfg.value_size);
-  auto fail = [&](uint64_t n, int64_t tear, const std::string& detail) {
+  constexpr size_t kValueSize = 24;
+  const std::vector<Key> keys = MakeUniformKeys(load_keys, seed);
+  auto fail = [&](int64_t tear, const std::string& detail) {
     result.ok = false;
     std::ostringstream os;
-    os << "BULKLOAD CRASH SWEEP FAILURE\n  index=" << index_name
-       << " seed=" << seed << " keys=" << keys.size() << " persist=" << n
-       << " tear=" << tear << "\n  detail: " << detail << "\n";
+    os << "BULKLOAD CRASH SWEEP FAILURE\n  medium=" << medium
+       << " index=" << index_name << " seed=" << seed
+       << " keys=" << keys.size() << " tear=" << tear
+       << "\n  detail: " << detail << "\n";
     result.report = os.str();
     return result;
   };
-  for (uint64_t n = 1; n <= result.crash_points; ++n) {
-    for (int64_t tear : tears) {
-      ++result.runs;
-      ViperStore store(MakeIndex(index_name), vcfg);
-      store.mutable_pmem().crash().FailAfterPersists(n, tear);
-      bool crashed = false;
-      try {
-        store.BulkLoad(keys);
-      } catch (const SimulatedCrash&) {
-        crashed = true;
+  // Dry run: the barrier count and the record geometry.
+  size_t record = 0;
+  size_t slots = 0;
+  size_t page = 0;
+  {
+    std::unique_ptr<SlottedStore> store =
+        MakeTestStore(medium, MakeIndex(index_name), kValueSize);
+    const uint64_t before = store->IoStats().barriers;
+    if (!store->BulkLoad(keys)) {
+      return fail(CrashController::kNoTear, "BulkLoad out of space");
+    }
+    result.crash_points =
+        static_cast<size_t>(store->IoStats().barriers - before);
+    record = store->record_bytes();
+    slots = store->slots_per_page();
+    page = store->page_bytes();
+  }
+  if (result.crash_points != 1) {
+    return fail(CrashController::kNoTear,
+                "a load must be one barrier, saw " +
+                    std::to_string(result.crash_points));
+  }
+
+  // No tear, then every offset around every page boundary of the load.
+  std::vector<int64_t> tears = {CrashController::kNoTear};
+  const size_t pages = (keys.size() + slots - 1) / slots;
+  for (size_t b = 0; b <= pages; ++b) {
+    for (int64_t offset : boundary_offsets) {
+      const int64_t tear = static_cast<int64_t>(b * page) + offset;
+      if (tear >= 0) tears.push_back(tear);
+    }
+  }
+  std::vector<uint8_t> buf(kValueSize);
+  std::vector<uint8_t> want(kValueSize);
+  for (int64_t tear : tears) {
+    ++result.runs;
+    std::unique_ptr<SlottedStore> store =
+        MakeTestStore(medium, MakeIndex(index_name), kValueSize);
+    store->FailAfterBarriers(1, tear);
+    bool crashed = false;
+    try {
+      store->BulkLoad(keys);
+    } catch (const SimulatedCrash&) {
+      crashed = true;
+    }
+    if (!crashed) return fail(tear, "armed crash never fired");
+    store->Recover();
+    // The barrier's writes are the load's pages in order, so record i
+    // survives iff its last byte lies inside the torn prefix (a torn
+    // record's header cannot validate): exactly a prefix of the keys.
+    size_t expect = 0;
+    while (tear != CrashController::kNoTear && expect < keys.size() &&
+           (expect / slots) * page + (expect % slots + 1) * record <=
+               static_cast<size_t>(tear)) {
+      ++expect;
+    }
+    if (store->size() != expect) {
+      return fail(tear, "recovered " + std::to_string(store->size()) +
+                            " records, expected exactly " +
+                            std::to_string(expect));
+    }
+    for (size_t j = 0; j < keys.size(); ++j) {
+      const bool present = store->Get(keys[j], buf.data());
+      if (present != (j < expect)) {
+        return fail(tear, std::string(present ? "key beyond the durable "
+                                                "prefix resurrected"
+                                              : "durable-prefix key missing") +
+                              ": key index " + std::to_string(j));
       }
-      if (!crashed) return fail(n, tear, "armed crash never fired");
-      store.Recover();
-      // Exact durable prefix: barrier k persists the k-th page span, so
-      // spans 1..n-1 are fully durable and the crashing span keeps its
-      // torn prefix's *complete* records (a torn record's header cannot
-      // validate).
-      size_t full = std::min(keys.size(), (n - 1) * vcfg.slots_per_page);
-      size_t span_records =
-          std::min(vcfg.slots_per_page, keys.size() - full);
-      size_t torn_records =
-          tear == CrashController::kNoTear
-              ? 0
-              : std::min(static_cast<size_t>(tear) / record_bytes,
-                         span_records);
-      size_t expect = full + torn_records;
-      if (store.size() != expect) {
-        return fail(n, tear,
-                    "recovered " + std::to_string(store.size()) +
-                        " records, expected exactly " +
-                        std::to_string(expect));
-      }
-      for (size_t j = 0; j < expect; ++j) {
-        if (!store.Get(keys[j], buf.data())) {
-          return fail(n, tear, "durable-prefix key missing: key index " +
-                                   std::to_string(j));
-        }
-        FillSyntheticLike(keys[j], want.data(), want.size());
-        if (std::memcmp(buf.data(), want.data(), want.size()) != 0) {
-          return fail(n, tear, "payload mismatch at key index " +
-                                   std::to_string(j));
-        }
-      }
-      if (expect < keys.size() && store.Get(keys[expect], buf.data())) {
-        return fail(n, tear,
-                    "key beyond the durable prefix resurrected: index " +
-                        std::to_string(expect));
+      if (!present) continue;
+      FillSyntheticRecordValue(keys[j], want.data(), want.size());
+      if (std::memcmp(buf.data(), want.data(), want.size()) != 0) {
+        return fail(tear, "payload mismatch at key index " +
+                              std::to_string(j));
       }
     }
   }

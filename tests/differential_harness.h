@@ -1,6 +1,6 @@
 // Differential conformance harness: drives any registered index (and
-// ViperStore stacked on any updatable index) through long seeded streams
-// of interleaved operations — bulk-load, point read, insert, update
+// either store medium stacked on any updatable index) through long seeded
+// streams of interleaved operations — bulk-load, point read, insert, update
 // (upsert), scan, recover — and checks every single result against a
 // std::map oracle. On divergence it delta-minimizes the op stream and
 // reports the seed, index name and the minimized op prefix so the failure
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "index/ordered_index.h"
+#include "store/slotted_store.h"
 #include "workload/ycsb.h"
 
 namespace pieces {
@@ -26,7 +27,7 @@ namespace pieces {
 // One operation in a differential stream. kPut covers insert, update and
 // the write half of read-modify-write (all upserts through OrderedIndex);
 // kRecover rebuilds the index from a sorted snapshot of the oracle
-// (ViperStore runs use ViperStore::Recover instead).
+// (store runs use the store's Recover instead).
 struct DiffOp {
   enum Kind : uint8_t { kGet = 0, kPut = 1, kScan = 2, kRecover = 3 };
   Kind kind;
@@ -54,10 +55,10 @@ struct DiffConfig {
   uint32_t scan_len = 64;
   KeyPick pick = KeyPick::kZipfian;
   size_t recover_every = 0;  // 0 = never; else a kRecover op every N ops.
-  // ViperStore runs only: value payload bytes (small keeps memcmp cheap).
+  // Store runs only: value payload bytes (small keeps memcmp cheap).
   size_t store_value_size = 24;
-  // ViperStore runs only: kRecover ops power-fail the PMem (dropping every
-  // written-but-unpersisted byte) before recovering, instead of rebuilding
+  // Store runs only: kRecover ops power-fail the medium (dropping every
+  // written-but-unsynced byte) before recovering, instead of rebuilding
   // a live store. Acknowledged ops must still all survive.
   bool crash_before_recover = false;
 };
@@ -91,15 +92,29 @@ DiffResult RunIndexDifferential(const std::string& label,
                                 const IndexFactory& make,
                                 const DiffConfig& cfg);
 
-// Runs the same stream end-to-end through a ViperStore built on
+// The store oracles below run on either medium of SlottedStore: "viper"
+// (ViperStore, simulated PMem) or "disk" (DiskStore with a 4-frame pool, so
+// reads fetch and evict). Barriers are counted from IoStats().barriers and
+// crashes armed through SlottedStore::FailAfterBarriers on both.
+std::unique_ptr<SlottedStore> MakeTestStore(const std::string& medium,
+                                            std::unique_ptr<OrderedIndex> index,
+                                            size_t value_size);
+
+// The medium a value-parameterized store suite runs on, read off the
+// running test's instantiation name: "Disk..." instantiations run on
+// "disk", all others on "viper".
+std::string MediumOfCurrentTest();
+
+// Runs the same stream end-to-end through a store on `medium` built on
 // `index_name` (must support insert), verifying full value payloads and
-// using ViperStore::Recover for kRecover ops.
-DiffResult RunStoreDifferential(const std::string& index_name,
+// using the store's Recover for kRecover ops.
+DiffResult RunStoreDifferential(const std::string& medium,
+                                const std::string& index_name,
                                 const DiffConfig& cfg);
 
 struct CrashSweepResult {
   bool ok = true;
-  size_t crash_points = 0;  // persist barriers the sweep crashed at
+  size_t crash_points = 0;  // durability barriers the sweep crashed at
   size_t runs = 0;          // (crash point, tear offset) replays executed
   // On failure: the first failing (crash point, tear) with a minimized
   // replayable op prefix, in the differential-report format.
@@ -107,30 +122,34 @@ struct CrashSweepResult {
 };
 
 // Crash-point sweep (the durability contract, exhaustively): replays the
-// cfg stream against a ViperStore on `index_name` (must be updatable)
-// once per (persist barrier n, tear offset) pair, arming a crash at the
+// cfg stream against a store on `medium` over `index_name` (must be
+// updatable) once per (barrier n, tear offset) pair, arming a crash at the
 // n-th barrier after bulk-load — for every n the stream crosses — with
-// `tear_bytes` of the crashing barrier's range committed (see
-// CrashController::FailAfterPersists; CrashController::kNoTear commits
-// nothing). After each crash the store recovers and must contain exactly
-// the acknowledged ops — plus the single in-flight put iff its commit
-// header deterministically became durable (the crash fired at the header
-// barrier and the tear covers the whole header). Empty `tear_offsets`
-// sweeps kNoTear only. Failures are delta-minimized like the
-// differential runs.
-CrashSweepResult RunCrashSweep(const std::string& index_name,
+// `tear_bytes` of the crashing barrier's writes committed (see
+// SlottedStore::FailAfterBarriers; kNoTear commits nothing). After each
+// crash the store recovers and must contain exactly the acknowledged ops,
+// plus the single in-flight put iff its commit header became durable: the
+// crash fired at its header barrier and the tear covered the header (on
+// disk, where that barrier rewrites the whole tail page, a tear between 16
+// bytes and the page size may go either way, but a present put must read
+// back exactly). Empty `tear_offsets` sweeps kNoTear only. Failures are
+// delta-minimized like the differential runs.
+CrashSweepResult RunCrashSweep(const std::string& medium,
+                               const std::string& index_name,
                                const DiffConfig& cfg,
                                const std::vector<int64_t>& tear_offsets);
 
-// Crash-point sweep over BulkLoad's per-page persist barriers: loads
-// `load_keys` uniform keys, crashing at every barrier x tear offset, and
-// asserts the recovered store holds *exactly* the durable prefix —
-// (n-1) full page spans plus the torn span's complete records — nothing
-// more, nothing less.
-CrashSweepResult RunBulkLoadCrashSweep(const std::string& index_name,
-                                       size_t load_keys,
-                                       const std::vector<int64_t>& tear_offsets,
-                                       uint64_t seed = 1);
+// Crash sweep over BulkLoad's one barrier: loads `load_keys` uniform keys,
+// crashing at that barrier untorn and torn at every offset in
+// `boundary_offsets` around every page boundary of the load (negative
+// results skipped), and asserts the recovered store holds *exactly* the
+// records lying wholly inside the torn prefix of the load's page-order
+// bytes — nothing more, nothing less. Fails when a load is not exactly
+// one barrier.
+CrashSweepResult RunBulkLoadCrashSweep(
+    const std::string& medium, const std::string& index_name,
+    size_t load_keys, const std::vector<int64_t>& boundary_offsets,
+    uint64_t seed = 1);
 
 }  // namespace pieces
 

@@ -141,8 +141,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 class StoreDifferentialTest : public ::testing::TestWithParam<std::string> {};
 
-// End-to-end through ViperStore: full value payloads verified on every
-// read, ViperStore::Recover exercised mid-stream.
+// End-to-end through a store: full value payloads verified on every read,
+// Recover exercised mid-stream. The established instantiation runs on
+// ViperStore, the "Disk" one on DiskStore (MediumOfCurrentTest).
 TEST_P(StoreDifferentialTest, MixedStreamWithRecovery) {
   DiffConfig cfg;
   cfg.seed = BaseSeed() + 4;
@@ -151,7 +152,7 @@ TEST_P(StoreDifferentialTest, MixedStreamWithRecovery) {
   cfg.ops = 15000;
   cfg.scan_len = 32;
   cfg.recover_every = 4000;
-  DiffResult res = RunStoreDifferential(GetParam(), cfg);
+  DiffResult res = RunStoreDifferential(MediumOfCurrentTest(), GetParam(), cfg);
   EXPECT_TRUE(res.ok) << res.report;
 }
 
@@ -162,19 +163,23 @@ TEST_P(StoreDifferentialTest, AdversarialKeys) {
   cfg.load_keys = 6000;
   cfg.ops = 10000;
   cfg.scan_len = 16;
-  DiffResult res = RunStoreDifferential(GetParam(), cfg);
+  DiffResult res = RunStoreDifferential(MediumOfCurrentTest(), GetParam(), cfg);
   EXPECT_TRUE(res.ok) << res.report;
+}
+
+std::string StoreParamName(const ::testing::TestParamInfo<std::string>& info) {
+  std::string name = info.param;
+  for (char& c : name) {
+    if (c == '-') c = '_';
+  }
+  return name;
 }
 
 INSTANTIATE_TEST_SUITE_P(UpdatableIndexes, StoreDifferentialTest,
                          ::testing::ValuesIn(UpdatableIndexNames()),
-                         [](const ::testing::TestParamInfo<std::string>& info) {
-                           std::string name = info.param;
-                           for (char& c : name) {
-                             if (c == '-') c = '_';
-                           }
-                           return name;
-                         });
+                         StoreParamName);
+INSTANTIATE_TEST_SUITE_P(Disk, StoreDifferentialTest,
+                         ::testing::Values("BTree", "ALEX"), StoreParamName);
 
 }  // namespace
 }  // namespace pieces

@@ -1,7 +1,10 @@
 // DiskStore integration tests: the end-to-end KV path over the paged
-// file + buffer pool, crash-sweep property tests at every fsync barrier
-// against an acked-ops oracle, and a three-way differential (DiskStore vs
-// ViperStore vs std::map) on a dataset far larger than the pool.
+// file + buffer pool, the multi-writer group-commit crash sweep, and a
+// three-way differential (DiskStore vs ViperStore vs std::map) on a
+// dataset far larger than the pool. The single-writer crash sweeps at
+// every barrier x tear and the bulk-load barrier sweep run on this medium
+// through the shared oracle harness (crash_sweep_test's "Disk"
+// instantiations).
 #include "store/disk_store.h"
 
 #include <unistd.h>
@@ -129,6 +132,24 @@ TEST(DiskStoreBasicsTest, CapacityExhaustionFailsPut) {
   EXPECT_TRUE(saw_failure);
 }
 
+// The disk twin of ViperStoreTest2.CapacityExhaustion: a load that does
+// not fit writes nothing, so Recover() finds none of it.
+TEST(DiskStoreBasicsTest, CapacityExhaustionFailsBulkLoad) {
+  DiskStore::Config cfg = SmallConfig("capload", 4);
+  cfg.file_capacity = 4 * cfg.page_size;
+  DiskStore store(MakeIndex("BTree"), cfg);
+  ASSERT_TRUE(store.ok());
+  std::vector<Key> keys = MakeSequentialKeys(1000, 1, 1);
+  EXPECT_FALSE(store.BulkLoad(keys));
+  EXPECT_EQ(store.size(), 0u);
+  store.Recover();
+  EXPECT_EQ(store.size(), 0u);
+  std::vector<uint8_t> buf(store.value_size());
+  size_t readable = 0;
+  for (Key k : keys) readable += store.Get(k, buf.data()) ? 1 : 0;
+  EXPECT_EQ(readable, 0u) << "a failed load was resurrected";
+}
+
 // GetBatch must charge one pool fetch per *distinct page*, not per key:
 // with a thrashed pool (2 frames) and batches interleaving two pages, the
 // grouped path fetches each page once per batch while single-key Gets
@@ -216,161 +237,6 @@ TEST(DiskStoreRecoveryTest, AcknowledgedBulkLoadSurvivesCrash) {
   store.Recover();
   EXPECT_EQ(store.size(), keys.size());
   for (Key k : keys) ExpectSynthetic(store, k, "acked-load-after-crash");
-}
-
-// The crash-sweep property test: replay a put stream, arming a crash at
-// EVERY fsync barrier the stream crosses, for several torn-write budgets.
-// After recovery the store must contain exactly the bulk-loaded keys plus
-// every acked put — and the one in-flight put may appear iff its header
-// became durable, but never with a wrong value, and nothing else ever
-// appears or disappears.
-TEST(DiskStoreCrashSweepTest, EveryFsyncBarrierEveryTear) {
-  std::vector<Key> keys = MakeUniformKeys(600, 21);
-  std::vector<Key> load, inserts;
-  SplitLoadAndInserts(keys, 3, &load, &inserts);
-  const size_t kPuts = 24;
-  ASSERT_GE(inserts.size(), kPuts);
-
-  // Dry run: count the barriers the put stream crosses (2 per put).
-  uint64_t stream_barriers = 0;
-  {
-    DiskStore store(MakeIndex("BTree"), SmallConfig("sweepdry", 8));
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE(store.BulkLoad(load));
-    const uint64_t before = store.pages().syncs();
-    for (size_t i = 0; i < kPuts; ++i) {
-      // Half fresh inserts, half updates of loaded keys.
-      ASSERT_TRUE(store.PutSynthetic(i % 2 == 0 ? inserts[i] : load[i]));
-    }
-    stream_barriers = store.pages().syncs() - before;
-  }
-  ASSERT_EQ(stream_barriers, 2 * kPuts);
-
-  const std::vector<int64_t> tears = {PageStore::kNoTear, 0, 8, 100,
-                                      4096, 8192};
-  size_t runs = 0;
-  for (uint64_t barrier = 1; barrier <= stream_barriers; ++barrier) {
-    for (int64_t tear : tears) {
-      DiskStore store(MakeIndex("BTree"), SmallConfig("sweep", 8));
-      ASSERT_TRUE(store.ok());
-      ASSERT_TRUE(store.BulkLoad(load));
-      store.mutable_pages().FailAfterSyncs(barrier, tear);
-      std::map<Key, bool> acked;  // key -> acked (oracle)
-      Key inflight_key = 0;
-      bool crashed = false;
-      for (size_t i = 0; i < kPuts && !crashed; ++i) {
-        Key key = i % 2 == 0 ? inserts[i] : load[i];
-        try {
-          inflight_key = key;
-          if (store.PutSynthetic(key)) acked[key] = true;
-        } catch (const SimulatedCrash&) {
-          crashed = true;
-        }
-      }
-      ASSERT_TRUE(crashed) << "barrier " << barrier << " never fired";
-      store.Recover();
-      ++runs;
-      const std::string ctx = "barrier=" + std::to_string(barrier) +
-                              " tear=" + std::to_string(tear);
-      // Every acked put and every loaded key must survive with the right
-      // payload.
-      for (const auto& [key, _] : acked) {
-        ExpectSynthetic(store, key, ctx.c_str());
-      }
-      for (Key k : load) {
-        std::vector<uint8_t> buf(store.value_size());
-        ASSERT_TRUE(store.Get(k, buf.data())) << ctx << " lost " << k;
-      }
-      // Nothing beyond load + acked + possibly the in-flight put exists;
-      // if the in-flight put is present it must read back correctly.
-      const size_t base = load.size() + [&] {
-        size_t fresh = 0;
-        for (const auto& [key, _] : acked) {
-          fresh += std::binary_search(load.begin(), load.end(), key) ? 0 : 1;
-        }
-        return fresh;
-      }();
-      ASSERT_GE(store.size(), base) << ctx;
-      ASSERT_LE(store.size(), base + 1) << ctx;
-      std::vector<uint8_t> buf(store.value_size());
-      if (!acked.count(inflight_key) &&
-          !std::binary_search(load.begin(), load.end(), inflight_key) &&
-          store.Get(inflight_key, buf.data())) {
-        std::vector<uint8_t> want(store.value_size());
-        FillSyntheticRecordValue(inflight_key, want.data(), want.size());
-        EXPECT_EQ(buf, want) << ctx << " torn in-flight value";
-      }
-    }
-  }
-  EXPECT_EQ(runs, stream_barriers * tears.size());
-}
-
-// BulkLoad crashes: a load is ONE fsync barrier. Arm it untorn and with
-// tear budgets at every page boundary of the load plus offsets inside the
-// page. The torn barrier commits pending pages in first-write order, which
-// for a load into a fresh file is page order, so the durable bytes are a
-// prefix of the load's page-order byte stream. The recovered store must
-// hold exactly the records lying wholly inside that prefix, each
-// byte-correct, and nothing else (the CRC and the trailing magic reject
-// the boundary record).
-TEST(DiskStoreCrashSweepTest, BulkLoadBarriers) {
-  std::vector<Key> keys = MakeUniformKeys(200, 31);
-  std::sort(keys.begin(), keys.end());
-  size_t pages = 0;
-  size_t page_size = 0;
-  size_t record = 0;
-  size_t slots = 0;
-  {
-    DiskStore store(MakeIndex("BTree"), SmallConfig("bldry", 8));
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE(store.BulkLoad(keys));
-    EXPECT_EQ(store.pages().syncs(), 1u);
-    pages = store.pages().num_pages();
-    page_size = store.pages().page_size();
-    record = store.record_bytes();
-    slots = store.slots_per_page();
-  }
-  ASSERT_EQ(pages, (keys.size() + slots - 1) / slots);
-  ASSERT_GT(pages, 8u);  // more pages than pool frames: evictions happen
-
-  std::vector<int64_t> tears = {PageStore::kNoTear};
-  for (size_t b = 0; b <= pages; ++b) {
-    for (size_t off : {size_t{0}, size_t{1}, record - 1, record,
-                       size_t{300}}) {
-      tears.push_back(static_cast<int64_t>(b * page_size + off));
-    }
-  }
-  for (int64_t tear : tears) {
-    const std::string ctx = "tear=" + std::to_string(tear);
-    DiskStore store(MakeIndex("BTree"), SmallConfig("blsweep", 8));
-    ASSERT_TRUE(store.ok());
-    store.mutable_pages().FailAfterSyncs(1, tear);
-    bool crashed = false;
-    try {
-      store.BulkLoad(keys);
-    } catch (const SimulatedCrash&) {
-      crashed = true;
-    }
-    ASSERT_TRUE(crashed) << ctx;
-    store.Recover();
-    // Record i sits at page i / slots, slot i % slots: it survives iff
-    // its last byte lies inside the durable prefix.
-    size_t durable = 0;
-    while (tear != PageStore::kNoTear && durable < keys.size() &&
-           (durable / slots) * page_size + (durable % slots + 1) * record <=
-               static_cast<size_t>(tear)) {
-      ++durable;
-    }
-    ASSERT_EQ(store.size(), durable) << ctx;
-    std::vector<uint8_t> buf(store.value_size());
-    for (size_t i = 0; i < keys.size(); ++i) {
-      if (i < durable) {
-        ExpectSynthetic(store, keys[i], ctx.c_str());
-      } else {
-        ASSERT_FALSE(store.Get(keys[i], buf.data())) << ctx << " i=" << i;
-      }
-    }
-  }
 }
 
 // Three-way differential on a dataset ~25x the pool: DiskStore and
@@ -599,7 +465,7 @@ TEST(DiskStoreCrashSweepTest, GroupCommitEveryBarrierEveryTear) {
   // 32 puts in groups of <= 4: at least ceil(32/4) * 2 = 16 barriers are
   // crossed however the grouping lands, so barriers 1..16 always fire.
   constexpr uint64_t kBarriers = 16;
-  const std::vector<int64_t> tears = {PageStore::kNoTear, 0, 8, 100,
+  const std::vector<int64_t> tears = {CrashController::kNoTear, 0, 8, 100,
                                       4096, 8192};
   std::sort(load.begin(), load.end());
   for (uint64_t barrier = 1; barrier <= kBarriers; ++barrier) {

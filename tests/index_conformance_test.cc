@@ -15,7 +15,7 @@
 #include "index/ordered_index.h"
 #include "index/registry.h"
 #include "learned/alex.h"
-#include "store/viper.h"
+#include "differential_harness.h"
 #include "workload/datasets.h"
 #include "workload/ycsb.h"
 
@@ -34,6 +34,9 @@ class IndexConformanceTest
     data_.reserve(keys_.size());
     for (Key k : keys_) data_.push_back({k, k ^ kValueTag});
   }
+
+  // CrashRecoverConformance's body on one store medium.
+  void CrashRecoverOn(const char* medium);
 
   static constexpr size_t kN = 20000;
   static constexpr Value kValueTag = 0x5a5a5a5a5a5a5a5aull;
@@ -293,50 +296,56 @@ TEST_P(IndexConformanceTest, StatsAreSane) {
   EXPECT_LT(s.avg_depth, 64.0);
 }
 
-// Crash-recover conformance, end to end through ViperStore: after a
-// power failure the recovered index must answer Get and Scan exactly as
-// the live store did, and Recover must be idempotent (a second recovery
-// without a crash changes nothing). Runs for every index — read-only
-// indexes recover the bulk-load image, updatable ones a dirtied store
-// with stale out-of-place slots recovery has to shadow by seqno.
+// Crash-recover conformance, end to end through the store on both media:
+// after a power failure the recovered index must answer Get and Scan
+// exactly as the live store did, and Recover must be idempotent (a second
+// recovery without a crash changes nothing). Runs for every index —
+// read-only indexes recover the bulk-load image, updatable ones a dirtied
+// store with stale out-of-place slots recovery has to shadow by seqno.
 TEST_P(IndexConformanceTest, CrashRecoverConformance) {
-  ViperStore::Config cfg;
-  cfg.value_size = 16;
-  cfg.pmem_capacity = size_t{128} << 20;
-  ViperStore store(MakeIndex(std::get<0>(GetParam())), cfg);
+  for (const char* medium : {"viper", "disk"}) {
+    SCOPED_TRACE(medium);
+    CrashRecoverOn(medium);
+  }
+}
+
+void IndexConformanceTest::CrashRecoverOn(const char* medium) {
+  constexpr size_t kValueSize = 16;
+  std::unique_ptr<SlottedStore> store =
+      MakeTestStore(medium, MakeIndex(std::get<0>(GetParam())), kValueSize);
   std::vector<Key> load;
   std::vector<Key> inserts;
   SplitLoadAndInserts(keys_, 4, &load, &inserts);
-  ASSERT_TRUE(store.BulkLoad(load));
-  std::vector<uint8_t> updated_value(cfg.value_size, 0xcd);
+  ASSERT_TRUE(store->BulkLoad(load));
+  std::vector<uint8_t> updated_value(kValueSize, 0xcd);
   size_t fresh_inserts = 0;
-  if (store.index().SupportsInsert()) {
+  if (store->index().SupportsInsert()) {
     for (size_t i = 0; i < inserts.size(); i += 2) {
-      ASSERT_TRUE(store.PutSynthetic(inserts[i]));
+      ASSERT_TRUE(store->PutSynthetic(inserts[i]));
       ++fresh_inserts;
     }
     // Distinct payloads so a recovery that resurrects the stale slot
     // (instead of the highest-seqno one) is caught byte-for-byte.
     for (size_t i = 0; i < load.size(); i += 31) {
-      ASSERT_TRUE(store.Put(load[i], updated_value.data()));
+      ASSERT_TRUE(store->Put(load[i], updated_value.data()));
     }
   }
 
   // Capture the live store's answers, then pull the plug.
   auto observe = [&](std::vector<uint8_t>* payloads, std::vector<bool>* found,
                      std::vector<std::vector<Key>>* scans) {
-    std::vector<uint8_t> buf(cfg.value_size);
+    std::vector<uint8_t> buf(kValueSize);
     for (Key k : keys_) {
-      bool present = store.Get(k, buf.data());
+      bool present = store->Get(k, buf.data());
       found->push_back(present);
       if (present) {
         payloads->insert(payloads->end(), buf.begin(), buf.end());
       }
     }
-    if (store.index().SupportsScan()) {
+    if (store->index().SupportsScan()) {
       for (size_t i = 0; i < keys_.size(); i += keys_.size() / 7 + 1) {
         std::vector<Key> scan_keys;
-        store.Scan(keys_[i], 100, &scan_keys);
+        store->Scan(keys_[i], 100, &scan_keys);
         scans->push_back(std::move(scan_keys));
       }
     }
@@ -349,11 +358,11 @@ TEST_P(IndexConformanceTest, CrashRecoverConformance) {
   // puts (updates included), so compare against the exact key population.
   const size_t unique_keys = load.size() + fresh_inserts;
 
-  store.Crash();
-  store.Recover();
+  store->Crash();
+  store->Recover();
 
   for (int round = 0; round < 2; ++round) {
-    EXPECT_EQ(store.size(), unique_keys) << "round " << round;
+    EXPECT_EQ(store->size(), unique_keys) << "round " << round;
     std::vector<uint8_t> post_payloads;
     std::vector<bool> post_found;
     std::vector<std::vector<Key>> post_scans;
@@ -362,7 +371,7 @@ TEST_P(IndexConformanceTest, CrashRecoverConformance) {
     ASSERT_EQ(post_payloads, pre_payloads) << "round " << round;
     ASSERT_EQ(post_scans, pre_scans) << "round " << round;
     // Round 2 checks idempotence: recover again with no crash at all.
-    store.Recover();
+    store->Recover();
   }
 }
 

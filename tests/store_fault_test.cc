@@ -2,7 +2,8 @@
 // exhaustion mid-stream, recovery after mixed insert/update traffic,
 // recovery idempotence, latency accounting, and the crash primitives —
 // unpersisted-write discard, torn persists, programmed crash points, and
-// the store-level commit protocol (unacknowledged puts never recover).
+// the store-level commit protocol on both media (unacknowledged puts never
+// recover).
 #include <cstring>
 #include <map>
 #include <vector>
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "differential_harness.h"
 #include "index/registry.h"
 #include "store/crash_controller.h"
 #include "store/sim_pmem.h"
@@ -83,27 +85,34 @@ TEST(StoreFaultTest, RecoveryAfterMixedTraffic) {
   }
 }
 
+// The commit-protocol cases run on both media through one store-level
+// crash hook (SlottedStore::FailAfterBarriers).
+constexpr const char* kMedia[] = {"viper", "disk"};
+constexpr size_t kValueSize = 200;
+
 TEST(StoreFaultTest, RecoveryIsIdempotent) {
-  ViperStore::Config cfg;
-  cfg.pmem_capacity = 64 << 20;
-  ViperStore store(MakeIndex("PGM"), cfg);
-  std::vector<Key> keys = MakeUniformKeys(5000, 7);
-  ASSERT_TRUE(store.BulkLoad(keys));
-  store.Recover();
-  store.Recover();
-  EXPECT_EQ(store.size(), keys.size());
-  std::vector<uint8_t> buf(200);
-  EXPECT_TRUE(store.Get(keys[1234], buf.data()));
+  for (const char* medium : kMedia) {
+    SCOPED_TRACE(medium);
+    auto store = MakeTestStore(medium, MakeIndex("PGM"), kValueSize);
+    std::vector<Key> keys = MakeUniformKeys(5000, 7);
+    ASSERT_TRUE(store->BulkLoad(keys));
+    store->Recover();
+    store->Recover();
+    EXPECT_EQ(store->size(), keys.size());
+    std::vector<uint8_t> buf(kValueSize);
+    EXPECT_TRUE(store->Get(keys[1234], buf.data()));
+  }
 }
 
 TEST(StoreFaultTest, RecoveryOnEmptyStore) {
-  ViperStore::Config cfg;
-  cfg.pmem_capacity = 1 << 20;
-  ViperStore store(MakeIndex("BTree"), cfg);
-  store.Recover();
-  EXPECT_EQ(store.size(), 0u);
-  std::vector<uint8_t> buf(200);
-  EXPECT_FALSE(store.Get(42, buf.data()));
+  for (const char* medium : kMedia) {
+    SCOPED_TRACE(medium);
+    auto store = MakeTestStore(medium, MakeIndex("BTree"), kValueSize);
+    store->Recover();
+    EXPECT_EQ(store->size(), 0u);
+    std::vector<uint8_t> buf(kValueSize);
+    EXPECT_FALSE(store->Get(42, buf.data()));
+  }
 }
 
 TEST(StoreFaultTest, LatencyInjectionChargesOps) {
@@ -190,37 +199,54 @@ TEST(StoreFaultTest, FailAfterPersistsCountsBarriers) {
 
 // --- Store-level commit protocol ---
 
+// One meaning of n on both media: the n-th barrier from now fails, and 0
+// disarms.
+TEST(StoreFaultTest, FailAfterZeroBarriersDisarms) {
+  for (const char* medium : kMedia) {
+    SCOPED_TRACE(medium);
+    auto store = MakeTestStore(medium, MakeIndex("BTree"), kValueSize);
+    ASSERT_TRUE(store->BulkLoad(MakeSequentialKeys(100, 1, 1)));
+    store->FailAfterBarriers(1, CrashController::kNoTear);
+    store->FailAfterBarriers(0, CrashController::kNoTear);
+    const uint64_t before = store->IoStats().barriers;
+    EXPECT_TRUE(store->PutSynthetic(5000));
+    EXPECT_EQ(store->IoStats().barriers - before, 2u);
+  }
+}
+
 // Crash between the payload barrier and the header barrier: the put was
 // never acknowledged, so recovery must not resurrect it.
 TEST(StoreFaultTest, PutNotAcknowledgedIsNotRecovered) {
-  ViperStore::Config cfg;
-  cfg.pmem_capacity = 8 << 20;
-  ViperStore store(MakeIndex("BTree"), cfg);
-  std::vector<Key> keys = MakeSequentialKeys(100, 1, 1);
-  ASSERT_TRUE(store.BulkLoad(keys));
-  store.mutable_pmem().crash().FailAfterPersists(1);  // payload barrier
-  EXPECT_THROW(store.PutSynthetic(5000), SimulatedCrash);
-  store.Recover();
-  EXPECT_EQ(store.size(), keys.size());
-  std::vector<uint8_t> buf(200);
-  EXPECT_FALSE(store.Get(5000, buf.data()));
-  for (Key k : keys) EXPECT_TRUE(store.Get(k, buf.data())) << k;
+  for (const char* medium : kMedia) {
+    SCOPED_TRACE(medium);
+    auto store = MakeTestStore(medium, MakeIndex("BTree"), kValueSize);
+    std::vector<Key> keys = MakeSequentialKeys(100, 1, 1);
+    ASSERT_TRUE(store->BulkLoad(keys));
+    store->FailAfterBarriers(1, CrashController::kNoTear);  // payload barrier
+    EXPECT_THROW(store->PutSynthetic(5000), SimulatedCrash);
+    store->Recover();
+    EXPECT_EQ(store->size(), keys.size());
+    std::vector<uint8_t> buf(kValueSize);
+    EXPECT_FALSE(store->Get(5000, buf.data()));
+    for (Key k : keys) EXPECT_TRUE(store->Get(k, buf.data())) << k;
+  }
 }
 
-// Same crash point but the torn write commits the whole payload: still
-// no header, still not recovered — payload bytes alone never validate.
+// Same crash point but the torn write commits the whole payload (a page's
+// worth of tear covers it on either medium): still no header, still not
+// recovered — payload bytes alone never validate.
 TEST(StoreFaultTest, TornPayloadWithoutHeaderIsNotRecovered) {
-  ViperStore::Config cfg;
-  cfg.pmem_capacity = 8 << 20;
-  ViperStore store(MakeIndex("BTree"), cfg);
-  std::vector<Key> keys = MakeSequentialKeys(100, 1, 1);
-  ASSERT_TRUE(store.BulkLoad(keys));
-  store.mutable_pmem().crash().FailAfterPersists(
-      1, static_cast<int64_t>(sizeof(Key) + cfg.value_size));
-  EXPECT_THROW(store.PutSynthetic(5000), SimulatedCrash);
-  store.Recover();
-  std::vector<uint8_t> buf(200);
-  EXPECT_FALSE(store.Get(5000, buf.data()));
+  for (const char* medium : kMedia) {
+    SCOPED_TRACE(medium);
+    auto store = MakeTestStore(medium, MakeIndex("BTree"), kValueSize);
+    std::vector<Key> keys = MakeSequentialKeys(100, 1, 1);
+    ASSERT_TRUE(store->BulkLoad(keys));
+    store->FailAfterBarriers(1, static_cast<int64_t>(store->page_bytes()));
+    EXPECT_THROW(store->PutSynthetic(5000), SimulatedCrash);
+    store->Recover();
+    std::vector<uint8_t> buf(kValueSize);
+    EXPECT_FALSE(store->Get(5000, buf.data()));
+  }
 }
 
 // Regression for the pre-commit-protocol bug: Put used to leave the
@@ -228,19 +254,20 @@ TEST(StoreFaultTest, TornPayloadWithoutHeaderIsNotRecovered) {
 // put whose caller was told it failed. A read-only index rejects every
 // Insert, making the failed swing deterministic.
 TEST(StoreFaultTest, FailedIndexSwingDoesNotResurrect) {
-  ViperStore::Config cfg;
-  cfg.pmem_capacity = 8 << 20;
-  ViperStore store(MakeIndex("RMI"), cfg);
-  std::vector<Key> keys = MakeSequentialKeys(100, 1, 1);
-  ASSERT_TRUE(store.BulkLoad(keys));
-  EXPECT_FALSE(store.PutSynthetic(5000));  // swing fails, header revoked
-  store.Crash();
-  store.Recover();
-  EXPECT_EQ(store.size(), keys.size());
-  std::vector<uint8_t> buf(200);
-  EXPECT_FALSE(store.Get(5000, buf.data()))
-      << "unacknowledged put resurrected by recovery";
-  for (Key k : keys) EXPECT_TRUE(store.Get(k, buf.data())) << k;
+  for (const char* medium : kMedia) {
+    SCOPED_TRACE(medium);
+    auto store = MakeTestStore(medium, MakeIndex("RMI"), kValueSize);
+    std::vector<Key> keys = MakeSequentialKeys(100, 1, 1);
+    ASSERT_TRUE(store->BulkLoad(keys));
+    EXPECT_FALSE(store->PutSynthetic(5000));  // swing fails, header revoked
+    store->Crash();
+    store->Recover();
+    EXPECT_EQ(store->size(), keys.size());
+    std::vector<uint8_t> buf(kValueSize);
+    EXPECT_FALSE(store->Get(5000, buf.data()))
+        << "unacknowledged put resurrected by recovery";
+    for (Key k : keys) EXPECT_TRUE(store->Get(k, buf.data())) << k;
+  }
 }
 
 TEST(StoreFaultTest, KeyZeroAndBoundaryKeys) {

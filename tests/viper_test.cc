@@ -223,12 +223,21 @@ TEST(ViperStoreTest2, TableIIISizeOrdering) {
   EXPECT_LT(store.IndexPlusKeyBytes(), store.IndexPlusKvBytes());
 }
 
+// A load that does not fit fails, and stays failed: no record of it is
+// written, so a later Recover() cannot bring back a prefix of it.
 TEST(ViperStoreTest2, CapacityExhaustion) {
   ViperStore::Config cfg;
   cfg.pmem_capacity = 16 << 10;
   ViperStore store(MakeIndex("BTree"), cfg);
   std::vector<Key> keys = MakeSequentialKeys(1000, 1, 1);
   EXPECT_FALSE(store.BulkLoad(keys));
+  EXPECT_EQ(store.size(), 0u);
+  store.Recover();
+  EXPECT_EQ(store.size(), 0u);
+  std::vector<uint8_t> buf(store.value_size());
+  size_t readable = 0;
+  for (Key k : keys) readable += store.Get(k, buf.data()) ? 1 : 0;
+  EXPECT_EQ(readable, 0u) << "a failed load was resurrected";
 }
 
 }  // namespace
